@@ -1,6 +1,6 @@
 /// cluster_explorer: inspect a (possibly custom) cluster, see which
 /// proposal the Premise-4 planner picks across problem shapes, and dump a
-/// profiled run as a Chrome trace (open in chrome://tracing / Perfetto).
+/// traced run as a Chrome trace (open in chrome://tracing / Perfetto).
 ///
 ///   $ ./cluster_explorer
 ///   $ ./cluster_explorer --cluster "nodes=4 networks=1 gpus=8 gpu=pascal"
@@ -11,7 +11,8 @@
 #include <iostream>
 
 #include "mgs/core/api.hpp"
-#include "mgs/sim/profiler.hpp"
+#include "mgs/obs/export.hpp"
+#include "mgs/obs/span.hpp"
 #include "mgs/topo/config.hpp"
 #include "mgs/util/cli.hpp"
 #include "mgs/util/random.hpp"
@@ -22,9 +23,9 @@ using namespace mgs;
 int main(int argc, char** argv) {
   util::Cli cli(argc, argv);
   cli.describe("cluster", "cluster description (see topo/config.hpp)");
-  cli.describe("trace", "write a Chrome trace of one profiled run here");
+  cli.describe("trace", "write a Chrome trace of one traced run here");
   if (cli.help_requested()) {
-    cli.print_help("Explore a cluster: links, planner decisions, profiling.");
+    cli.print_help("Explore a cluster: links, planner decisions, tracing.");
     return 0;
   }
   cli.reject_unknown();
@@ -69,8 +70,8 @@ int main(int argc, char** argv) {
   }
   plans.print(std::cout);
 
-  // --- One profiled MP-PC run + per-kernel summary.
-  sim::ProfileScope profiling;
+  // --- One traced MP-PC run + per-event summary.
+  obs::TraceSession session;
   const std::int64_t n = 1 << 20;
   const std::int64_t g = 4;
   const auto data = util::random_i32(static_cast<std::size_t>(n * g), 1);
@@ -82,22 +83,39 @@ int main(int argc, char** argv) {
   const auto r = core::scan_mppc<int>(cluster, part, batches, n, plan,
                                       core::ScanKind::kInclusive);
 
-  std::printf("\nProfiled Scan-MP-PC run (N=%lld, G=%lld): %s, %.2f GB/s\n",
+  std::printf("\nTraced Scan-MP-PC run (N=%lld, G=%lld): %s, %.2f GB/s\n",
               static_cast<long long>(n), static_cast<long long>(g),
               util::fmt_time_us(r.seconds).c_str(), r.throughput_gbps());
+  // One row per kernel name, link kind and MPI operation, read back from
+  // the session's {kernel,transfer,mpi} counter families.
+  const obs::MetricsSnapshot metrics = session.metrics().snapshot();
   util::Table prof({"event", "count", "total time", "bytes"});
-  for (const auto& row : sim::Profiler::instance().summary()) {
-    prof.add_row({row.name, std::to_string(row.count),
-                  util::fmt_time_us(row.total_seconds),
-                  util::fmt_bytes(row.total_bytes)});
-  }
+  const auto add_rows = [&](const char* total, const char* seconds,
+                            const char* bytes, const char* prefix) {
+    for (const obs::MetricValue& m : metrics) {
+      if (m.name != total) continue;
+      const obs::MetricValue* s = obs::find_metric(metrics, seconds, m.labels);
+      const obs::MetricValue* b =
+          bytes != nullptr ? obs::find_metric(metrics, bytes, m.labels)
+                           : nullptr;
+      prof.add_row(
+          {prefix + m.labels.front().second,
+           std::to_string(static_cast<std::uint64_t>(m.value)),
+           util::fmt_time_us(s != nullptr ? s->value : 0.0),
+           b != nullptr ? util::fmt_bytes(static_cast<std::uint64_t>(b->value))
+                        : "-"});
+    }
+  };
+  add_rows("kernel_launches_total", "kernel_seconds", "kernel_bytes", "");
+  add_rows("transfers_total", "transfer_seconds", "transfer_bytes", "copy:");
+  add_rows("mpi_ops_total", "mpi_seconds", nullptr, "");
   prof.print(std::cout);
 
   const std::string trace_path = cli.get_string("trace", "");
   if (!trace_path.empty()) {
     std::ofstream os(trace_path);
     MGS_REQUIRE(os.good(), "cannot open trace file " + trace_path);
-    sim::Profiler::instance().write_chrome_trace(os);
+    obs::write_chrome_trace(os, session.spans(), metrics);
     std::printf("\nChrome trace written to %s\n", trace_path.c_str());
   }
   return 0;

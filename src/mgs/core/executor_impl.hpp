@@ -437,7 +437,6 @@ class MpsExecutorT final : public TypedScanExecutor<T, Op> {
     if (ck.active && master_died) {
       std::fill(ck.gathered.begin(), ck.gathered.end(), char{0});
       std::fill(ck.scanned.begin(), ck.scanned.end(), char{0});
-      ck.stage2_done = false;
     }
 
     auto load_of = [&](int id) {
@@ -482,27 +481,22 @@ class MpsExecutorT final : public TypedScanExecutor<T, Op> {
           acquire_workspace<T>(&ctx_->workspace(), dev, lay.aux_elems());
       ck.prefix_local[ii] =
           acquire_workspace<T>(&ctx_->workspace(), dev, lay.aux_elems());
-      if (ck.overlap) {
-        bool fully_gathered = true;
-        for (int v = 0; v < ck.k; ++v) {
-          const auto cell = static_cast<std::size_t>(v * ck.w + i);
-          ck.scattered[cell] = 0;
-          if (ck.gathered[cell] == 0) fully_gathered = false;
-        }
-        // Ungathered cells need the reductions regenerated on the
-        // replacement (pure kernels: identical values). Cells already on
-        // the master keep their flags -- their data survived.
-        if (!fully_gathered) ck.s1_done[ii] = 0;
-      } else {
-        ck.scattered[ii] = 0;
-        if (ck.gathered[ii] == 0) ck.s1_done[ii] = 0;
+      bool fully_gathered = true;
+      for (int v = 0; v < ck.k; ++v) {
+        const auto cell = static_cast<std::size_t>(v * ck.w + i);
+        ck.scattered[cell] = 0;
+        if (ck.gathered[cell] == 0) fully_gathered = false;
       }
+      // Ungathered cells need the reductions regenerated on the
+      // replacement (pure kernels: identical values). Cells already on
+      // the master keep their flags -- their data survived.
+      if (!fully_gathered) ck.s1_done[ii] = 0;
     }
     if (ck.active && master_died) {
       simt::Device& new_master = cluster.device(gpus_.front());
       ck.aux_all = acquire_workspace<T>(&ctx_->workspace(), new_master,
                                         g_ * w_ * lay.bx);
-      if (ck.overlap) {
+      if (ck.carry.valid()) {
         ck.carry = acquire_workspace<T>(&ctx_->workspace(), new_master, g_);
       }
     }

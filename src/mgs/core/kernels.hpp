@@ -13,6 +13,7 @@
 /// y indexes the batch (B_y = G). Launchers return the simulated timing.
 
 #include <algorithm>
+#include <string>
 
 #include "mgs/core/skeleton.hpp"
 
@@ -57,70 +58,33 @@ sim::KernelTime launch_chunk_reduce(simt::Device& dev,
   });
 }
 
-/// Stage 2, contiguous layout: `aux` holds `g` rows of `row_len` chunk
-/// totals (row r at offset r*row_len); each row is exclusively scanned in
-/// place. Several problems share a block (L_y^2 = s2.ly, B_x^2 = 1).
-template <typename T, typename Op>
-sim::KernelTime launch_intermediate_scan(simt::Device& dev,
-                                         simt::DeviceBuffer<T>& aux,
-                                         std::int64_t row_len, std::int64_t g,
-                                         const StagePlan& s2, Op op) {
-  MGS_CHECK(aux.size() >= row_len * g, "intermediate_scan: aux too small");
-  simt::LaunchConfig cfg;
-  cfg.name = "intermediate_scan";
-  cfg.grid = {1, static_cast<int>(util::div_up(
-                     static_cast<std::uint64_t>(g),
-                     static_cast<std::uint64_t>(s2.ly))),
-              1};
-  cfg.block = {s2.lx, s2.ly, 1};
-  cfg.regs_per_thread = s2.regs_per_thread();
-  cfg.smem_per_block = s2.smem_bytes(sizeof(T));
-  const auto auxv = aux.view();
-  return simt::launch(dev, cfg, [=](simt::BlockCtx& ctx) {
-    for (int r = 0; r < s2.ly; ++r) {
-      const std::int64_t row =
-          static_cast<std::int64_t>(ctx.block_idx().y) * s2.ly + r;
-      if (row >= g) break;
-      const std::int64_t row_base = row * row_len;
-      warp_row_scan_exclusive<T>(
-          ctx, row_len,
-          [&](std::int64_t i0, int n) {
-            return auxv.load_warp_partial(row_base + i0, n, Op::identity(),
-                                          ctx.stats());
-          },
-          [&](std::int64_t i0, int n, const simt::WarpReg<T>& v) {
-            auxv.store_warp_partial(row_base + i0, n, v, ctx.stats());
-          },
-          op);
-    }
-  });
-}
+namespace detail {
 
-/// Stage 2 slice for the wave-pipelined path, contiguous layout: rows
-/// [g_begin, g_begin+g_count) of `aux`, columns [c_begin, c_begin+c_count)
-/// of each row, exclusively scanned in place with a per-row running carry
-/// kept in `carry` (>= g_begin+g_count elements). Column chunk 0 seeds the
-/// carry from the identity; later chunks seed from (and update) the carry
-/// the previous chunk of the same row wrote, so processing every chunk of a
-/// row in ascending column order reproduces launch_intermediate_scan's
-/// output bit-for-bit. Issue chunks of one row in column order on a single
-/// in-order stream; distinct rows are independent.
-template <typename T, typename Op>
-sim::KernelTime launch_intermediate_scan_slice(
-    simt::Device& dev, simt::DeviceBuffer<T>& aux, std::int64_t row_len,
-    std::int64_t g_begin, std::int64_t g_count, std::int64_t c_begin,
-    std::int64_t c_count, simt::DeviceBuffer<T>& carry, const StagePlan& s2,
-    Op op) {
-  MGS_CHECK(g_begin >= 0 && g_count >= 0, "intermediate_scan_slice: bad rows");
+/// Shared body of the two Stage-2 launchers: each block scans s2.ly
+/// problem rows, each row segment warp by warp through the layout's
+/// `load(row, col, n, ctx)` / `store(row, col, n, v, ctx)` accessors
+/// (columns absolute within the logical row).
+template <typename T, typename Op, typename Load, typename Store>
+sim::KernelTime launch_row_scan(simt::Device& dev, const char* name,
+                                bool aux_fits, std::int64_t g,
+                                const StagePlan& s2, Op op,
+                                std::int64_t g_begin, std::int64_t g_count,
+                                std::int64_t row_len, std::int64_t c_begin,
+                                std::int64_t c_count,
+                                simt::DeviceBuffer<T>* carry, Load load,
+                                Store store) {
+  if (g_count < 0) g_count = g - g_begin;
+  if (c_count < 0) c_count = row_len - c_begin;
+  MGS_CHECK(g_begin >= 0 && g_count >= 0 && g_begin + g_count <= g,
+            std::string(name) + ": bad rows");
   MGS_CHECK(c_begin >= 0 && c_count >= 0 && c_begin + c_count <= row_len,
-            "intermediate_scan_slice: bad columns");
-  MGS_CHECK(aux.size() >= (g_begin + g_count) * row_len,
-            "intermediate_scan_slice: aux too small");
-  MGS_CHECK(carry.size() >= g_begin + g_count,
-            "intermediate_scan_slice: carry too small");
+            std::string(name) + ": bad columns");
+  MGS_CHECK(aux_fits, std::string(name) + ": aux too small");
+  MGS_CHECK(carry == nullptr || carry->size() >= g,
+            std::string(name) + ": carry too small");
   if (g_count == 0 || c_count == 0) return {};
   simt::LaunchConfig cfg;
-  cfg.name = "intermediate_scan";
+  cfg.name = name;
   cfg.grid = {1, static_cast<int>(util::div_up(
                      static_cast<std::uint64_t>(g_count),
                      static_cast<std::uint64_t>(s2.ly))),
@@ -128,143 +92,103 @@ sim::KernelTime launch_intermediate_scan_slice(
   cfg.block = {s2.lx, s2.ly, 1};
   cfg.regs_per_thread = s2.regs_per_thread();
   cfg.smem_per_block = s2.smem_bytes(sizeof(T));
-  const auto auxv = aux.view();
-  const auto carryv = carry.view();
+  const bool carried = carry != nullptr;
+  const auto carryv = carried ? carry->view() : simt::GlobalView<T>{};
   return simt::launch(dev, cfg, [=](simt::BlockCtx& ctx) {
     for (int r = 0; r < s2.ly; ++r) {
       const std::int64_t local_row =
           static_cast<std::int64_t>(ctx.block_idx().y) * s2.ly + r;
       if (local_row >= g_count) break;
       const std::int64_t row = g_begin + local_row;
-      const std::int64_t base = row * row_len + c_begin;
-      const T carry_in =
-          (c_begin == 0) ? Op::identity() : carryv.load(row, ctx.stats());
+      const T carry_in = (carried && c_begin != 0)
+                             ? carryv.load(row, ctx.stats())
+                             : Op::identity();
       const T total = warp_row_scan_exclusive_carry<T>(
           ctx, c_count,
           [&](std::int64_t i0, int n) {
-            return auxv.load_warp_partial(base + i0, n, Op::identity(),
-                                          ctx.stats());
+            return load(row, c_begin + i0, n, ctx);
           },
           [&](std::int64_t i0, int n, const simt::WarpReg<T>& v) {
-            auxv.store_warp_partial(base + i0, n, v, ctx.stats());
+            store(row, c_begin + i0, n, v, ctx);
           },
           op, carry_in);
-      carryv.store(row, op(carry_in, total), ctx.stats());
+      if (carried) carryv.store(row, op(carry_in, total), ctx.stats());
     }
   });
+}
+
+}  // namespace detail
+
+/// Stage 2, contiguous layout: `aux` holds `g` rows of `row_len` chunk
+/// totals (row r at offset r*row_len); each row is exclusively scanned in
+/// place. Several problems share a block (L_y^2 = s2.ly, B_x^2 = 1).
+///
+/// The trailing parameters restrict the launch to one pipeline cell, like
+/// launch_chunk_reduce's `g_begin`/`g_count`: rows [g_begin,
+/// g_begin+g_count) and columns [c_begin, c_begin+c_count) of each row
+/// (defaults: everything). Without `carry` every row segment scans from
+/// the identity, so the default launch is the whole-row kernel. With
+/// `carry` (>= g elements) a segment starting past column 0 seeds from the
+/// running row prefix the previous segment left there, and every segment
+/// stores its updated prefix back: segments of one row issued in ascending
+/// column order on one in-order stream reproduce the whole-row output
+/// bit-for-bit. Distinct rows are independent.
+template <typename T, typename Op>
+sim::KernelTime launch_intermediate_scan(
+    simt::Device& dev, simt::DeviceBuffer<T>& aux, std::int64_t row_len,
+    std::int64_t g, const StagePlan& s2, Op op, std::int64_t g_begin = 0,
+    std::int64_t g_count = -1, std::int64_t c_begin = 0,
+    std::int64_t c_count = -1, simt::DeviceBuffer<T>* carry = nullptr) {
+  return detail::launch_row_scan(
+      dev, "intermediate_scan", aux.size() >= row_len * g, g, s2, op,
+      g_begin, g_count, row_len, c_begin, c_count, carry,
+      [auxv = aux.view(), row_len](std::int64_t row, std::int64_t i0, int n,
+                                   simt::BlockCtx& ctx) {
+        return auxv.load_warp_partial(row * row_len + i0, n, Op::identity(),
+                                      ctx.stats());
+      },
+      [auxv = aux.view(), row_len](std::int64_t row, std::int64_t i0, int n,
+                                   const simt::WarpReg<T>& v,
+                                   simt::BlockCtx& ctx) {
+        auxv.store_warp_partial(row * row_len + i0, n, v, ctx.stats());
+      });
 }
 
 /// Stage 2, strided layout (MPI_Gather output, rank-major): element i of
 /// problem row `row` lives at offset (i / bx)*(g*bx) + row*bx + (i % bx).
 /// Scalar (uncoalesced) accesses -- the honest price of the MPI layout.
+/// The trailing parameters select a cell exactly as for
+/// launch_intermediate_scan; columns index the logical row (rank r's
+/// chunks are columns [r*bx, (r+1)*bx)).
 template <typename T, typename Op>
 sim::KernelTime launch_intermediate_scan_ranked(
     simt::Device& dev, simt::DeviceBuffer<T>& aux, std::int64_t bx,
-    std::int64_t ranks, std::int64_t g, const StagePlan& s2, Op op) {
-  MGS_CHECK(aux.size() >= ranks * g * bx,
-            "intermediate_scan_ranked: aux too small");
-  simt::LaunchConfig cfg;
-  cfg.name = "intermediate_scan_ranked";
-  cfg.grid = {1, static_cast<int>(util::div_up(
-                     static_cast<std::uint64_t>(g),
-                     static_cast<std::uint64_t>(s2.ly))),
-              1};
-  cfg.block = {s2.lx, s2.ly, 1};
-  cfg.regs_per_thread = s2.regs_per_thread();
-  cfg.smem_per_block = s2.smem_bytes(sizeof(T));
-  const auto auxv = aux.view();
-  const std::int64_t row_len = ranks * bx;
-  return simt::launch(dev, cfg, [=](simt::BlockCtx& ctx) {
-    for (int r = 0; r < s2.ly; ++r) {
-      const std::int64_t row =
-          static_cast<std::int64_t>(ctx.block_idx().y) * s2.ly + r;
-      if (row >= g) break;
-      const auto offset_of = [&](std::int64_t i) {
-        return (i / bx) * (g * bx) + row * bx + (i % bx);
-      };
-      warp_row_scan_exclusive<T>(
-          ctx, row_len,
-          [&](std::int64_t i0, int n) {
-            simt::WarpReg<T> v;
-            for (int l = 0; l < simt::kWarpSize; ++l) {
-              v[l] = (l < n) ? auxv.load(offset_of(i0 + l), ctx.stats())
-                             : Op::identity();
-            }
-            return v;
-          },
-          [&](std::int64_t i0, int n, const simt::WarpReg<T>& v) {
-            for (int l = 0; l < n; ++l) {
-              auxv.store(offset_of(i0 + l), v[l], ctx.stats());
-            }
-          },
-          op);
-    }
-  });
-}
-
-/// Ranked-layout counterpart of launch_intermediate_scan_slice: element
-/// indices [c_begin, c_begin+c_count) of rows [g_begin, g_begin+g_count),
-/// addressed through the rank-major permutation. The wave-pipelined
-/// multinode Stage 2 uses one column chunk per rank (c_begin = rank*bx,
-/// c_count = bx), issued in ascending rank order per row.
-template <typename T, typename Op>
-sim::KernelTime launch_intermediate_scan_ranked_slice(
-    simt::Device& dev, simt::DeviceBuffer<T>& aux, std::int64_t bx,
-    std::int64_t ranks, std::int64_t g, std::int64_t g_begin,
-    std::int64_t g_count, std::int64_t c_begin, std::int64_t c_count,
-    simt::DeviceBuffer<T>& carry, const StagePlan& s2, Op op) {
-  const std::int64_t row_len = ranks * bx;
-  MGS_CHECK(g_begin >= 0 && g_count >= 0 && g_begin + g_count <= g,
-            "intermediate_scan_ranked_slice: bad rows");
-  MGS_CHECK(c_begin >= 0 && c_count >= 0 && c_begin + c_count <= row_len,
-            "intermediate_scan_ranked_slice: bad columns");
-  MGS_CHECK(aux.size() >= ranks * g * bx,
-            "intermediate_scan_ranked_slice: aux too small");
-  MGS_CHECK(carry.size() >= g_begin + g_count,
-            "intermediate_scan_ranked_slice: carry too small");
-  if (g_count == 0 || c_count == 0) return {};
-  simt::LaunchConfig cfg;
-  cfg.name = "intermediate_scan_ranked";
-  cfg.grid = {1, static_cast<int>(util::div_up(
-                     static_cast<std::uint64_t>(g_count),
-                     static_cast<std::uint64_t>(s2.ly))),
-              1};
-  cfg.block = {s2.lx, s2.ly, 1};
-  cfg.regs_per_thread = s2.regs_per_thread();
-  cfg.smem_per_block = s2.smem_bytes(sizeof(T));
-  const auto auxv = aux.view();
-  const auto carryv = carry.view();
-  return simt::launch(dev, cfg, [=](simt::BlockCtx& ctx) {
-    for (int r = 0; r < s2.ly; ++r) {
-      const std::int64_t local_row =
-          static_cast<std::int64_t>(ctx.block_idx().y) * s2.ly + r;
-      if (local_row >= g_count) break;
-      const std::int64_t row = g_begin + local_row;
-      const auto offset_of = [&](std::int64_t i) {
-        return (i / bx) * (g * bx) + row * bx + (i % bx);
-      };
-      const T carry_in =
-          (c_begin == 0) ? Op::identity() : carryv.load(row, ctx.stats());
-      const T total = warp_row_scan_exclusive_carry<T>(
-          ctx, c_count,
-          [&](std::int64_t i0, int n) {
-            simt::WarpReg<T> v;
-            for (int l = 0; l < simt::kWarpSize; ++l) {
-              v[l] = (l < n)
-                         ? auxv.load(offset_of(c_begin + i0 + l), ctx.stats())
+    std::int64_t ranks, std::int64_t g, const StagePlan& s2, Op op,
+    std::int64_t g_begin = 0, std::int64_t g_count = -1,
+    std::int64_t c_begin = 0, std::int64_t c_count = -1,
+    simt::DeviceBuffer<T>* carry = nullptr) {
+  const auto offset_of = [bx, g](std::int64_t row, std::int64_t i) {
+    return (i / bx) * (g * bx) + row * bx + (i % bx);
+  };
+  return detail::launch_row_scan(
+      dev, "intermediate_scan_ranked", aux.size() >= ranks * g * bx, g, s2,
+      op, g_begin, g_count, ranks * bx, c_begin, c_count, carry,
+      [auxv = aux.view(), offset_of](std::int64_t row, std::int64_t i0, int n,
+                                     simt::BlockCtx& ctx) {
+        simt::WarpReg<T> v;
+        for (int l = 0; l < simt::kWarpSize; ++l) {
+          v[l] = (l < n) ? auxv.load(offset_of(row, i0 + l), ctx.stats())
                          : Op::identity();
-            }
-            return v;
-          },
-          [&](std::int64_t i0, int n, const simt::WarpReg<T>& v) {
-            for (int l = 0; l < n; ++l) {
-              auxv.store(offset_of(c_begin + i0 + l), v[l], ctx.stats());
-            }
-          },
-          op, carry_in);
-      carryv.store(row, op(carry_in, total), ctx.stats());
-    }
-  });
+        }
+        return v;
+      },
+      [auxv = aux.view(), offset_of](std::int64_t row, std::int64_t i0, int n,
+                                     const simt::WarpReg<T>& v,
+                                     simt::BlockCtx& ctx) {
+        for (int l = 0; l < n; ++l) {
+          auxv.store(offset_of(row, i0 + l), v[l], ctx.stats());
+        }
+      });
 }
 
 /// Stage 3. `aux` holds the *exclusively scanned* chunk totals for this

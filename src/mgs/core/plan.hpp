@@ -88,7 +88,7 @@ struct ScanPlan {
 
 /// User-facing override for the pipeline choice, carried by executor
 /// factories: kAuto defers to the planner (overlap on for multi-GPU plans,
-/// cost-model wave count), kSync forces the legacy bulk-synchronous path,
+/// cost-model wave count), kSync forces the bulk-synchronous schedule,
 /// kOverlap forces the pipeline on.
 enum class PipelineMode {
   kAuto,

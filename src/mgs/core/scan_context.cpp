@@ -67,7 +67,7 @@ const ScanPlan& ScanContext::plan_for(const PlanKey& key) {
         static_cast<std::uint64_t>(std::max<std::int64_t>(1, bound))));
     // Multi-GPU plans default to the event-driven stream pipeline, with
     // the wave count from the Premise-3-style overlap model. Callers can
-    // force the synchronous path back via PipelineChoice{kSync}.
+    // force the synchronous schedule via PipelineChoice{kSync}.
     plan.pipe.overlap = true;
     plan.pipe.waves = pick_wave_count(*cluster_, key.n, key.g,
                                       key.gpus_per_problem, plan,

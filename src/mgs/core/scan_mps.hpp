@@ -105,22 +105,20 @@ std::vector<T> collect_batch(const std::vector<GpuBatch<T>>& batches,
   return host;
 }
 
-/// Stage-granular checkpoint for Scan-MPS. The scan functions record their
-/// progress here at every stage boundary (and per gather/scatter unit), so
-/// a mid-run device/link failure unwinds with the completed work intact:
-/// the executor's recovery driver remaps the dead device's portions onto a
+/// Stage-granular checkpoint for Scan-MPS. The scan records its progress
+/// here per (wave, portion) cell and at every stage boundary, so a mid-run
+/// device/link failure unwinds with the completed work intact: the
+/// executor's recovery driver remaps the dead device's portions onto a
 /// survivor, regresses exactly the flags whose backing state died, and
 /// calls the scan again -- it continues from the last completed boundary
 /// instead of restarting. Passing no checkpoint (the default) uses a
-/// function-local one, which makes the first pass bit-identical to the
-/// pre-checkpoint code: every guard is all-pending and every boundary
-/// instant is computed from the same clock maxima as before.
+/// function-local one, so a first pass computes every boundary instant
+/// from the same clock maxima whether or not a checkpoint is kept.
 template <typename T>
 struct MpsCheckpoint {
-  bool active = false;   ///< initialized by a scan call; false when consumed
-  bool overlap = false;  ///< which pipeline filled the flags
+  bool active = false;  ///< initialized by a scan call; false when consumed
   int w = 0;
-  int k = 1;  ///< waves (overlap path)
+  int k = 1;  ///< waves
   double t0 = 0.0;
   double last_boundary = 0.0;  ///< latest completed stage boundary
   RunResult partial;           ///< breakdown accumulated so far
@@ -134,19 +132,19 @@ struct MpsCheckpoint {
   std::vector<WorkspacePool::Handle<T>> aux_local;
   std::vector<WorkspacePool::Handle<T>> prefix_local;
   WorkspacePool::Handle<T> aux_all;  ///< on the master
-  WorkspacePool::Handle<T> carry;    ///< overlap path: per-row Stage-2 carry
+  /// Per-row Stage-2 carry on the master; held only by schedules that scan
+  /// a row in several column groups.
+  WorkspacePool::Handle<T> carry;
 
-  /// Progress flags. s1_done is per portion (size w) on both paths;
-  /// gathered/scanned/scattered are per portion on the sync path and per
-  /// (wave, device) cell (size k*w) on the overlap path.
+  /// Progress flags: s1_done per portion (size w); gathered, scanned and
+  /// scattered per (wave, portion) cell (size k*w, cell v*w + d).
   std::vector<char> s1_done;
   std::vector<char> gathered;
-  std::vector<char> scanned;    ///< overlap only
+  std::vector<char> scanned;
   std::vector<char> scattered;
-  bool stage2_done = false;     ///< sync only
 
-  /// Overlap-path dependency events (absolute simulated times, so they
-  /// stay valid across a resume).
+  /// Per-cell dependency events (absolute simulated times, so they stay
+  /// valid across a resume).
   std::vector<simt::Event> ev_s1;
   std::vector<simt::Event> ev_gather;
   std::vector<simt::Event> ev_scatter;
@@ -156,12 +154,12 @@ struct MpsCheckpoint {
   std::vector<std::string> resumed_stages;
 
   /// The most advanced stage boundary the surviving state still covers
-  /// (what a resume continues from), named like the stage spans.
+  /// (what a resume continues from).
   const char* resume_boundary() const {
     const auto any = [](const std::vector<char>& f) {
       return std::any_of(f.begin(), f.end(), [](char x) { return x != 0; });
     };
-    if (overlap ? any(scanned) : stage2_done) return "Stage2";
+    if (any(scanned)) return "Stage2";
     if (any(gathered)) return "AuxGather";
     if (any(s1_done)) return "Stage1";
     return "Start";
@@ -170,223 +168,44 @@ struct MpsCheckpoint {
 
 namespace detail {
 
-/// Event-driven Scan-MPS (plan.pipe.overlap): instead of global barriers
-/// between Stage 1, the aux gather, Stage 2, the prefix scatter and
-/// Stage 3, every dependency is a per-(device, wave) event. The batch
-/// dimension G is split into plan.pipe.waves sub-batches: each GPU's wave-v
-/// chunk reductions are DMA-gathered to the master the moment that GPU
-/// finishes computing them (overlapping later waves' Stage 1), the master
-/// scans each (wave, device) column chunk of the auxiliary matrix as soon
-/// as it arrives -- carrying the running row prefix in a per-row carry
-/// buffer -- and scatters the slice straight back so Stage 3 starts per
-/// GPU per wave on arrival. Stage-2 chunks of one row are issued in
-/// ascending device order on the master's in-order compute engine, so the
-/// result is bit-identical to the synchronous path (the operator
-/// application order per row is unchanged).
-///
-/// Breakdown stages are Stage1 / Stage2+Comm / Stage3, cut at the same
-/// phase-boundary instants the stage spans close at, so the entries sum to
-/// result.seconds exactly (critical-path telescoping preserved). Kernels
-/// and copies of later pipeline stages may *start* inside an earlier
-/// window -- that is the overlap -- and the critical-path analyzer clips
-/// leaf spans by time, attributing them to the window they occupy.
-template <typename T, typename Op>
-RunResult scan_mps_overlapped(topo::Cluster& cluster,
-                              const std::vector<int>& gpus,
-                              std::vector<GpuBatch<T>>& batches,
-                              std::int64_t n, std::int64_t g,
-                              const ScanPlan& plan, ScanKind kind, Op op,
-                              WorkspacePool* ws, MpsCheckpoint<T>& c) {
-  const int w = static_cast<int>(gpus.size());
-  const std::int64_t n_local = n / w;
-  const BatchLayout lay = make_layout(n_local, g, plan.s13);
-  MGS_REQUIRE(lay.bx >= 1,
-              "scan_mps: every GPU needs at least one chunk (Equation 2)");
-  const int k = static_cast<int>(
-      std::clamp<std::int64_t>(plan.pipe.waves, 1, g));
-  const auto wave_begin = [&](int v) { return (g * v) / k; };
+/// How the one three-kernel body of Scan-MPS (and of its multinode form)
+/// runs, derived from plan.pipe alone. The synchronous schedule -- chosen
+/// when the plan does not overlap or there is a single participant -- is
+/// one wave, blocking copies (compute-engine accounting; each copy's
+/// completion is its event), one Stage-2 column group per wave covering
+/// every portion without a carry, a stage cut after the gather, Stage 2 and
+/// the scatter, and an entry instant from the compute clocks only: the
+/// paper's Figure-14 phases. The overlapped schedule splits G into waves,
+/// queues copies on the DMA engines behind their producers' events, scans
+/// one column group per portion carrying the running row prefix, and cuts
+/// the communication once (Stage2+Comm).
+struct Schedule {
+  bool sync = true;
+  int waves = 1;
+};
 
-  topo::TransferEngine xfer(cluster);
-  auto compute_front = [&] {
-    double t = 0.0;
-    for (int d : gpus) t = std::max(t, cluster.device(d).clock().now());
-    return t;
-  };
+inline Schedule schedule_of(const PipelinePlan& pipe, int parts,
+                            std::int64_t g) {
+  if (!pipe.overlap || parts == 1) return {};
+  return {false,
+          static_cast<int>(std::clamp<std::int64_t>(pipe.waves, 1, g))};
+}
 
-  if (!c.active) {
-    c.active = true;
-    c.overlap = true;
-    c.w = w;
-    c.k = k;
-    c.partial = RunResult{};
-    c.partial.payload_bytes =
-        2ull * static_cast<std::uint64_t>(n) * g * sizeof(T);
-    // Entry instant: both engines of every participant (free-function
-    // calls may arrive with clocks already advanced).
-    double t0 = compute_front();
-    for (int d : gpus) t0 = std::max(t0, cluster.device(d).dma_clock().now());
-    c.t0 = t0;
-    c.last_boundary = t0;
-    c.s1_done.assign(static_cast<std::size_t>(w), 0);
-    c.gathered.assign(static_cast<std::size_t>(k * w), 0);
-    c.scanned.assign(static_cast<std::size_t>(k * w), 0);
-    c.scattered.assign(static_cast<std::size_t>(k * w), 0);
-    c.ev_s1.assign(static_cast<std::size_t>(k * w), simt::Event{});
-    c.ev_gather.assign(static_cast<std::size_t>(k * w), simt::Event{});
-    c.ev_scatter.assign(static_cast<std::size_t>(k * w), simt::Event{});
-    c.aux_local.clear();
-    c.prefix_local.clear();
-    for (int d = 0; d < w; ++d) {
-      simt::Device& dev = cluster.device(gpus[static_cast<std::size_t>(d)]);
-      c.aux_local.push_back(acquire_workspace<T>(ws, dev, lay.aux_elems()));
-      c.prefix_local.push_back(
-          acquire_workspace<T>(ws, dev, lay.aux_elems()));
-    }
-    simt::Device& master_dev0 = cluster.device(gpus[0]);
-    c.aux_all = acquire_workspace<T>(ws, master_dev0, g * w * lay.bx);
-    c.carry = acquire_workspace<T>(ws, master_dev0, g);
-  }
-  MGS_REQUIRE(c.overlap && c.w == w && c.k == k,
-              "scan_mps: checkpoint shape mismatch on resume");
-
-  const int master = gpus[0];
-  simt::Device& master_dev = cluster.device(master);
-  const std::int64_t row_len = static_cast<std::int64_t>(w) * lay.bx;
-  const auto idx = [](int v, int d, int w_) { return v * w_ + d; };
-  const auto pending = [](const std::vector<char>& f) {
-    return std::any_of(f.begin(), f.end(), [](char x) { return x == 0; });
-  };
-
-  try {
-    // ---- Stage 1, split into waves per GPU; each wave records an event
-    // the gather of that wave depends on. On resume, only portions whose
-    // reductions were lost re-run (chunk_reduce is pure, so relaunching a
-    // whole portion reproduces its values and events bit-identically).
-    if (pending(c.s1_done)) {
-      const double t_in = std::max(c.last_boundary, compute_front());
-      auto stage1 = obs::open_stage("Stage1", t_in);
-      for (int d = 0; d < w; ++d) {
-        if (c.s1_done[static_cast<std::size_t>(d)] != 0) continue;
-        simt::Stream s(cluster.device(gpus[static_cast<std::size_t>(d)]));
-        for (int v = 0; v < k; ++v) {
-          const std::int64_t g0 = wave_begin(v);
-          const std::int64_t gn = wave_begin(v + 1) - g0;
-          launch_chunk_reduce(
-              s.device(), batches[static_cast<std::size_t>(d)].in,
-              c.aux_local[static_cast<std::size_t>(d)].buffer(), lay,
-              plan.s13, op, g0, gn);
-          c.ev_s1[static_cast<std::size_t>(idx(v, d, w))] = s.record();
-        }
-        c.s1_done[static_cast<std::size_t>(d)] = 1;
-      }
-      const double t_out = std::max(t_in, compute_front());
-      stage1.close(t_out);
-      c.partial.breakdown.add("Stage1", t_out - t_in);
-      c.last_boundary = t_out;
-    }
-
-    // ---- Stage 2 + communication, fully event-driven. Gathers are
-    // enqueued on the DMA engines gated only by their producing wave's
-    // event; the master scans each arriving (wave, device) column chunk
-    // and scatters it straight back. Every (wave, device) cell records its
-    // progress, so a resume skips the cells whose data already lives (or
-    // landed) on the master.
-    if (pending(c.scattered)) {
-      const double t_in = std::max(c.last_boundary, compute_front());
-      auto stage2 = obs::open_stage("Stage2+Comm", t_in);
-      for (int v = 0; v < k; ++v) {
-        const std::int64_t g0 = wave_begin(v);
-        const std::int64_t gn = wave_begin(v + 1) - g0;
-        for (int d = 0; d < w; ++d) {
-          const auto i = static_cast<std::size_t>(idx(v, d, w));
-          if (c.gathered[i] != 0) continue;
-          c.ev_gather[i] =
-              xfer.copy_2d_async(
-                      c.aux_all.buffer(), g0 * row_len + d * lay.bx, row_len,
-                      c.aux_local[static_cast<std::size_t>(d)].buffer(),
-                      g0 * lay.bx, lay.bx, gn, lay.bx, c.ev_s1[i])
-                  .done;
-          c.gathered[i] = 1;
-        }
-      }
-      // The master consumes cells in (wave, device) program order -- and a
-      // resume replays the skip-prefix in the same order -- so the per-row
-      // carry accumulates operator applications in exactly the synchronous
-      // path's order: results stay bit-identical across healthy runs,
-      // overlapped runs, and resumed runs.
-      simt::Stream master_stream(master_dev);
-      for (int v = 0; v < k; ++v) {
-        const std::int64_t g0 = wave_begin(v);
-        const std::int64_t gn = wave_begin(v + 1) - g0;
-        for (int d = 0; d < w; ++d) {
-          const auto i = static_cast<std::size_t>(idx(v, d, w));
-          if (c.scanned[i] == 0) {
-            master_stream.wait(c.ev_gather[i]);
-            launch_intermediate_scan_slice(master_dev, c.aux_all.buffer(),
-                                           row_len, g0, gn, d * lay.bx,
-                                           lay.bx, c.carry.buffer(), plan.s2,
-                                           op);
-            c.scanned[i] = 1;
-          }
-          if (c.scattered[i] == 0) {
-            c.ev_scatter[i] =
-                xfer.copy_2d_async(
-                        c.prefix_local[static_cast<std::size_t>(d)].buffer(),
-                        g0 * lay.bx, lay.bx, c.aux_all.buffer(),
-                        g0 * row_len + d * lay.bx, row_len, gn, lay.bx,
-                        master_stream.record())
-                    .done;
-            c.scattered[i] = 1;
-          }
-        }
-      }
-      double t_out = t_in;
-      for (const simt::Event& e : c.ev_scatter) {
-        t_out = std::max(t_out, e.seconds);
-      }
-      stage2.close(t_out);
-      c.partial.breakdown.add("Stage2+Comm", t_out - t_in);
-      c.last_boundary = t_out;
-    }
-
-    // ---- Stage 3 per GPU per wave, gated on that wave's prefix arrival.
-    // Failures can only surface in the copy stages above, so Stage 3
-    // always runs whole once reached.
-    {
-      const double t_in = std::max(c.last_boundary, compute_front());
-      auto stage3 = obs::open_stage("Stage3", t_in);
-      for (int d = 0; d < w; ++d) {
-        simt::Stream s(cluster.device(gpus[static_cast<std::size_t>(d)]));
-        for (int v = 0; v < k; ++v) {
-          const std::int64_t g0 = wave_begin(v);
-          const std::int64_t gn = wave_begin(v + 1) - g0;
-          s.wait(c.ev_scatter[static_cast<std::size_t>(idx(v, d, w))]);
-          launch_scan_add(s.device(), batches[static_cast<std::size_t>(d)].in,
-                          batches[static_cast<std::size_t>(d)].out,
-                          c.prefix_local[static_cast<std::size_t>(d)].buffer(),
-                          lay, plan.s13, kind, op, g0, gn);
-        }
-      }
-      const double t_out = std::max(t_in, compute_front());
-      stage3.close(t_out);
-      c.partial.breakdown.add("Stage3", t_out - t_in);
-      c.last_boundary = t_out;
-    }
-  } catch (...) {
-    // Preserve the counters of the aborted attempt (this engine dies with
-    // the unwind); the recovery driver re-enters with the same checkpoint.
-    c.counters.merge(xfer.fault_counters());
-    throw;
-  }
-
-  RunResult result = std::move(c.partial);
-  c.partial = RunResult{};
-  c.active = false;
-  result.seconds = c.last_boundary - c.t0;
-  c.counters.merge(xfer.fault_counters());
-  result.faults.counters = c.counters;
-  result.faults.resumed_stages = c.resumed_stages;
-  return result;
+/// Run `body` as one stage window: it opens at the later of the last
+/// `boundary` and the compute `front`, closes at the instant `body`
+/// returns (never before it opened), and books one breakdown row, so the
+/// rows telescope to the makespan exactly. Kernels and copies of later
+/// stages may start inside an earlier window -- that is the overlap -- and
+/// the critical-path analyzer clips leaf spans by time.
+template <typename Body>
+void stage_window(sim::Breakdown& rows, double& boundary, double front,
+                  const char* name, int device, Body body) {
+  const double t_in = std::max(boundary, front);
+  auto span = obs::open_stage(name, t_in, device);
+  const double t_out = std::max(t_in, body());
+  span.close(t_out);
+  rows.add(name, t_out - t_in);
+  boundary = t_out;
 }
 
 }  // namespace detail
@@ -395,9 +214,20 @@ RunResult scan_mps_overlapped(topo::Cluster& cluster,
 /// the distribute_batch layout. Returns the simulated makespan across the
 /// participating GPUs plus the phase breakdown. When `ws` is given, the
 /// auxiliary arrays are leased from it instead of allocated per call.
-/// With plan.pipe.overlap set (the planner's default for multi-GPU plans),
-/// the event-driven wave pipeline above replaces the bulk-synchronous
-/// phases; results are bit-identical either way.
+///
+/// One event-driven body over (wave, portion) cells runs both schedules
+/// of detail::Schedule. Each GPU's wave of chunk reductions is gathered
+/// into the master's problem-major array ([g][d][c]) once its Stage 1 is
+/// done; the master scans each column group of a wave once its gathers
+/// arrived, and the scanned prefixes return to separate per-GPU arrays
+/// (the raw reductions stay valid for a re-gather if the master dies), so
+/// Stage 3 starts per GPU per wave on arrival. Column groups of one row
+/// run in ascending portion order on the master's in-order compute
+/// engine, so every schedule applies the operator in the same order and
+/// the output is bit-identical. Stage 2 stays on the master (empirically
+/// better than splitting it across GPUs, per Section 4.1). Every cell
+/// records its progress in the checkpoint, so a resume skips the cells
+/// whose data already lives (or landed) where the next stage needs it.
 template <typename T, typename Op = Plus<T>>
 RunResult scan_mps(topo::Cluster& cluster, const std::vector<int>& gpus,
                    std::vector<GpuBatch<T>>& batches, std::int64_t n,
@@ -409,19 +239,18 @@ RunResult scan_mps(topo::Cluster& cluster, const std::vector<int>& gpus,
   MGS_REQUIRE(w > 0 && static_cast<int>(batches.size()) == w,
               "scan_mps: one batch per GPU required");
   MGS_REQUIRE(n % w == 0, "scan_mps: N must be divisible by W");
-  MpsCheckpoint<T> local_ck;
-  MpsCheckpoint<T>& c = ck != nullptr ? *ck : local_ck;
-  if (plan.pipe.overlap && w > 1) {
-    return detail::scan_mps_overlapped(cluster, gpus, batches, n, g, plan,
-                                       kind, op, ws, c);
-  }
   const std::int64_t n_local = n / w;
   const BatchLayout lay = make_layout(n_local, g, plan.s13);
   MGS_REQUIRE(lay.bx >= 1,
               "scan_mps: every GPU needs at least one chunk (Equation 2)");
+  const detail::Schedule sched = detail::schedule_of(plan.pipe, w, g);
+  const int k = sched.waves;
+  const auto wave_begin = [&](int v) { return (g * v) / k; };
+  MpsCheckpoint<T> local_ck;
+  MpsCheckpoint<T>& c = ck != nullptr ? *ck : local_ck;
 
   topo::TransferEngine xfer(cluster);
-  auto phase_start = [&] {
+  auto compute_front = [&] {
     double t = 0.0;
     for (int d : gpus) t = std::max(t, cluster.device(d).clock().now());
     return t;
@@ -429,22 +258,30 @@ RunResult scan_mps(topo::Cluster& cluster, const std::vector<int>& gpus,
 
   if (!c.active) {
     c.active = true;
-    c.overlap = false;
     c.w = w;
-    c.k = 1;
+    c.k = k;
     c.partial = RunResult{};
     c.partial.payload_bytes =
         2ull * static_cast<std::uint64_t>(n) * g * sizeof(T);
-    c.t0 = phase_start();
-    c.last_boundary = c.t0;
+    // Entry instant. The overlapped schedule queues copies on the DMA
+    // engines, so it also waits for those (free-function calls may arrive
+    // with clocks already advanced).
+    double t0 = compute_front();
+    if (!sched.sync) {
+      for (int d : gpus) {
+        t0 = std::max(t0, cluster.device(d).dma_clock().now());
+      }
+    }
+    c.t0 = t0;
+    c.last_boundary = t0;
+    const auto cells = static_cast<std::size_t>(k * w);
     c.s1_done.assign(static_cast<std::size_t>(w), 0);
-    c.gathered.assign(static_cast<std::size_t>(w), 0);
-    c.scanned.clear();
-    c.scattered.assign(static_cast<std::size_t>(w), 0);
-    c.stage2_done = false;
-    // Per-GPU auxiliary arrays (problem-major): aux_local holds the raw
-    // chunk reductions, prefix_local the scanned prefixes coming back;
-    // plus the master's combined array, G rows of W*bx totals ([g][d][c]).
+    c.gathered.assign(cells, 0);
+    c.scanned.assign(cells, 0);
+    c.scattered.assign(cells, 0);
+    c.ev_s1.assign(cells, simt::Event{});
+    c.ev_gather.assign(cells, simt::Event{});
+    c.ev_scatter.assign(cells, simt::Event{});
     c.aux_local.clear();
     c.prefix_local.clear();
     for (int d = 0; d < w; ++d) {
@@ -453,113 +290,171 @@ RunResult scan_mps(topo::Cluster& cluster, const std::vector<int>& gpus,
       c.prefix_local.push_back(
           acquire_workspace<T>(ws, dev, lay.aux_elems()));
     }
-    c.aux_all =
-        acquire_workspace<T>(ws, cluster.device(gpus[0]), g * w * lay.bx);
+    simt::Device& master_dev0 = cluster.device(gpus[0]);
+    c.aux_all = acquire_workspace<T>(ws, master_dev0, g * w * lay.bx);
+    if (!sched.sync) c.carry = acquire_workspace<T>(ws, master_dev0, g);
   }
-  MGS_REQUIRE(!c.overlap && c.w == w,
+  MGS_REQUIRE(c.w == w && c.k == k,
               "scan_mps: checkpoint shape mismatch on resume");
 
   const int master = gpus[0];
+  simt::Device& master_dev = cluster.device(master);
+  simt::Stream master_stream(master_dev);
+  const std::int64_t row_len = static_cast<std::int64_t>(w) * lay.bx;
+  const auto cell = [w](int v, int d) {
+    return static_cast<std::size_t>(v * w + d);
+  };
   const auto pending = [](const std::vector<char>& f) {
     return std::any_of(f.begin(), f.end(), [](char x) { return x == 0; });
   };
+  const auto window = [&](const char* name, int device, auto body) {
+    detail::stage_window(c.partial.breakdown, c.last_boundary,
+                         compute_front(), name, device, body);
+  };
+
+  // ---- Per-cell operations. A copy moves one wave's rows of one portion's
+  // aux slice; blocking copies complete when they return, queued ones
+  // start no earlier than `ready`.
+  const auto copy_cell = [&](simt::DeviceBuffer<T>& dst, std::int64_t dst_off,
+                             std::int64_t dst_stride,
+                             const simt::DeviceBuffer<T>& src,
+                             std::int64_t src_off, std::int64_t src_stride,
+                             std::int64_t rows, simt::Event ready) {
+    if (!sched.sync) {
+      return xfer
+          .copy_2d_async(dst, dst_off, dst_stride, src, src_off, src_stride,
+                         rows, lay.bx, ready)
+          .done;
+    }
+    xfer.copy_2d(dst, dst_off, dst_stride, src, src_off, src_stride, rows,
+                 lay.bx);
+    return simt::Event{cluster.device(dst.device_id()).clock().now()};
+  };
+  const auto gather_all = [&] {
+    for (int v = 0; v < k; ++v) {
+      const std::int64_t g0 = wave_begin(v);
+      for (int d = 0; d < w; ++d) {
+        const auto i = cell(v, d);
+        if (c.gathered[i] != 0) continue;
+        c.ev_gather[i] = copy_cell(
+            c.aux_all.buffer(), g0 * row_len + d * lay.bx, row_len,
+            c.aux_local[static_cast<std::size_t>(d)].buffer(), g0 * lay.bx,
+            lay.bx, wave_begin(v + 1) - g0, c.ev_s1[i]);
+        c.gathered[i] = 1;
+      }
+    }
+  };
+  // Stage-2 column groups: the whole row (sync) or one portion, each
+  // launch gated on the gathers of its cells.
+  const int group = sched.sync ? w : 1;
+  const auto scan_group = [&](int v, int d0) {
+    if (c.scanned[cell(v, d0)] != 0) return;
+    for (int d = d0; d < d0 + group; ++d) {
+      master_stream.wait(c.ev_gather[cell(v, d)]);
+    }
+    const std::int64_t g0 = wave_begin(v);
+    launch_intermediate_scan(master_dev, c.aux_all.buffer(), row_len, g,
+                             plan.s2, op, g0, wave_begin(v + 1) - g0,
+                             d0 * lay.bx, group * lay.bx,
+                             sched.sync ? nullptr : &c.carry.buffer());
+    for (int d = d0; d < d0 + group; ++d) c.scanned[cell(v, d)] = 1;
+  };
+  const auto scatter = [&](int v, int d) {
+    const auto i = cell(v, d);
+    if (c.scattered[i] != 0) return;
+    const std::int64_t g0 = wave_begin(v);
+    c.ev_scatter[i] = copy_cell(
+        c.prefix_local[static_cast<std::size_t>(d)].buffer(), g0 * lay.bx,
+        lay.bx, c.aux_all.buffer(), g0 * row_len + d * lay.bx, row_len,
+        wave_begin(v + 1) - g0, master_stream.record());
+    c.scattered[i] = 1;
+  };
 
   try {
-    // ---- Stage 1 on every GPU (concurrent; each device clock advances
-    // independently). On resume, only portions whose reductions died
-    // re-run (chunk_reduce is pure, so the values come back identical).
+    // ---- Stage 1 per GPU per wave; each wave records the event its
+    // gather depends on. On resume only portions whose reductions were
+    // lost re-run (chunk_reduce is pure, so relaunching a whole portion
+    // reproduces its values and events bit-identically).
     if (pending(c.s1_done)) {
-      const double t_in = std::max(c.last_boundary, phase_start());
-      auto stage1 = obs::open_stage("Stage1", t_in);
-      for (int d = 0; d < w; ++d) {
-        if (c.s1_done[static_cast<std::size_t>(d)] != 0) continue;
-        launch_chunk_reduce(cluster.device(gpus[static_cast<std::size_t>(d)]),
-                            batches[static_cast<std::size_t>(d)].in,
-                            c.aux_local[static_cast<std::size_t>(d)].buffer(),
-                            lay, plan.s13, op);
-        c.s1_done[static_cast<std::size_t>(d)] = 1;
-      }
-      const double t_out = std::max(t_in, phase_start());
-      stage1.close(t_out);
-      c.partial.breakdown.add("Stage1", t_out - t_in);
-      c.last_boundary = t_out;
+      window("Stage1", -1, [&] {
+        for (int d = 0; d < w; ++d) {
+          if (c.s1_done[static_cast<std::size_t>(d)] != 0) continue;
+          simt::Stream s(cluster.device(gpus[static_cast<std::size_t>(d)]));
+          for (int v = 0; v < k; ++v) {
+            const std::int64_t g0 = wave_begin(v);
+            launch_chunk_reduce(
+                s.device(), batches[static_cast<std::size_t>(d)].in,
+                c.aux_local[static_cast<std::size_t>(d)].buffer(), lay,
+                plan.s13, op, g0, wave_begin(v + 1) - g0);
+            c.ev_s1[cell(v, d)] = s.record();
+          }
+          c.s1_done[static_cast<std::size_t>(d)] = 1;
+        }
+        return compute_front();
+      });
     }
 
-    // ---- Gather the chunk reductions on the master: per source GPU one
-    // strided 2-D copy (G rows of bx), problem-major on arrival. A copy
-    // that hits a dead device/link throws here with the earlier portions'
-    // flags already set -- their data lives in the master's aux_all.
-    if (pending(c.gathered)) {
-      const double t_in = std::max(c.last_boundary, phase_start());
-      auto gather_stage = obs::open_stage("AuxGather", t_in);
-      for (int d = 0; d < w; ++d) {
-        if (c.gathered[static_cast<std::size_t>(d)] != 0) continue;
-        xfer.copy_2d(c.aux_all.buffer(),
-                     static_cast<std::int64_t>(d) * lay.bx,
-                     static_cast<std::int64_t>(w) * lay.bx,
-                     c.aux_local[static_cast<std::size_t>(d)].buffer(), 0,
-                     lay.bx, g, lay.bx);
-        c.gathered[static_cast<std::size_t>(d)] = 1;
+    // ---- Gather, Stage 2, scatter. A copy that hits a dead device/link
+    // throws with the earlier cells' flags already set. The synchronous
+    // schedule runs each phase over every cell in its own window; the
+    // overlapped one interleaves Stage 2 and the scatter per column group
+    // inside one window that closes when the last prefix landed.
+    if (sched.sync) {
+      if (pending(c.gathered)) {
+        window("AuxGather", -1, [&] {
+          gather_all();
+          return compute_front();
+        });
       }
-      const double t_out = std::max(t_in, phase_start());
-      gather_stage.close(t_out);
-      c.partial.breakdown.add("AuxGather", t_out - t_in);
-      c.last_boundary = t_out;
+      if (pending(c.scanned)) {
+        window("Stage2", master, [&] {
+          scan_group(0, 0);  // the one wave's one group
+          return compute_front();
+        });
+      }
+      if (pending(c.scattered)) {
+        window("AuxScatter", -1, [&] {
+          for (int d = 0; d < w; ++d) scatter(0, d);
+          return compute_front();
+        });
+      }
+    } else if (pending(c.scattered)) {
+      window("Stage2+Comm", -1, [&] {
+        gather_all();
+        for (int v = 0; v < k; ++v) {
+          for (int d = 0; d < w; ++d) {
+            scan_group(v, d);
+            scatter(v, d);
+          }
+        }
+        double t_out = 0.0;
+        for (const simt::Event& e : c.ev_scatter) {
+          t_out = std::max(t_out, e.seconds);
+        }
+        return t_out;
+      });
     }
 
-    // ---- Stage 2 on the master only (empirically better than splitting
-    // it across GPUs, per Section 4.1).
-    if (!c.stage2_done) {
-      const double t_in = std::max(c.last_boundary, phase_start());
-      auto stage2 = obs::open_stage("Stage2", t_in, master);
-      launch_intermediate_scan(cluster.device(master), c.aux_all.buffer(),
-                               static_cast<std::int64_t>(w) * lay.bx, g,
-                               plan.s2, op);
-      c.stage2_done = true;
-      const double t_out = std::max(t_in, phase_start());
-      stage2.close(t_out);
-      c.partial.breakdown.add("Stage2", t_out - t_in);
-      c.last_boundary = t_out;
-    }
-
-    // ---- Scatter each GPU's slice of scanned prefixes back (into the
-    // separate prefix arrays; the raw reductions in aux_local stay valid
-    // for a re-gather if the master dies later).
-    if (pending(c.scattered)) {
-      const double t_in = std::max(c.last_boundary, phase_start());
-      auto scatter_stage = obs::open_stage("AuxScatter", t_in);
+    // ---- Stage 3 per GPU per wave, gated on that wave's prefix arrival.
+    // Failures can only surface in the copy stages above, so Stage 3
+    // always runs whole once reached.
+    window("Stage3", -1, [&] {
       for (int d = 0; d < w; ++d) {
-        if (c.scattered[static_cast<std::size_t>(d)] != 0) continue;
-        xfer.copy_2d(c.prefix_local[static_cast<std::size_t>(d)].buffer(), 0,
-                     lay.bx, c.aux_all.buffer(),
-                     static_cast<std::int64_t>(d) * lay.bx,
-                     static_cast<std::int64_t>(w) * lay.bx, g, lay.bx);
-        c.scattered[static_cast<std::size_t>(d)] = 1;
+        simt::Stream s(cluster.device(gpus[static_cast<std::size_t>(d)]));
+        for (int v = 0; v < k; ++v) {
+          const std::int64_t g0 = wave_begin(v);
+          s.wait(c.ev_scatter[cell(v, d)]);
+          launch_scan_add(s.device(), batches[static_cast<std::size_t>(d)].in,
+                          batches[static_cast<std::size_t>(d)].out,
+                          c.prefix_local[static_cast<std::size_t>(d)].buffer(),
+                          lay, plan.s13, kind, op, g0, wave_begin(v + 1) - g0);
+        }
       }
-      const double t_out = std::max(t_in, phase_start());
-      scatter_stage.close(t_out);
-      c.partial.breakdown.add("AuxScatter", t_out - t_in);
-      c.last_boundary = t_out;
-    }
-
-    // ---- Stage 3 on every GPU (no transfers left: always runs whole).
-    {
-      const double t_in = std::max(c.last_boundary, phase_start());
-      auto stage3 = obs::open_stage("Stage3", t_in);
-      for (int d = 0; d < w; ++d) {
-        launch_scan_add(
-            cluster.device(gpus[static_cast<std::size_t>(d)]),
-            batches[static_cast<std::size_t>(d)].in,
-            batches[static_cast<std::size_t>(d)].out,
-            c.prefix_local[static_cast<std::size_t>(d)].buffer(), lay,
-            plan.s13, kind, op);
-      }
-      const double t_out = std::max(t_in, phase_start());
-      stage3.close(t_out);
-      c.partial.breakdown.add("Stage3", t_out - t_in);
-      c.last_boundary = t_out;
-    }
+      return compute_front();
+    });
   } catch (...) {
+    // Preserve the counters of the aborted attempt (this engine dies with
+    // the unwind); the recovery driver re-enters with the same checkpoint.
     c.counters.merge(xfer.fault_counters());
     throw;
   }

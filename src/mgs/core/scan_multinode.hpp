@@ -13,31 +13,47 @@
 
 namespace mgs::core {
 
-namespace detail {
-
-/// Event-driven multi-node Scan-MPS (plan.pipe.overlap): the blocking
-/// MPI_Gather/MPI_Scatter collectives are replaced by per-(rank, wave)
-/// MPI_Isend messages on the endpoints' DMA engines. Each rank's wave of
-/// chunk reductions travels to rank 0 the moment that rank computed it
-/// (its contiguous region of the rank-major combined array), the master
-/// scans each arriving (wave, rank) column chunk with a per-row carry, the
-/// scanned slice returns by Isend, and Stage 3 runs per rank per wave on
-/// arrival. Entry/exit barriers are kept (the paper's protocol brackets
-/// the pipeline). Chunks of one row are issued in ascending rank order on
-/// the master's in-order compute engine, so the per-row operator order
-/// matches the collective path.
+/// Run the multi-node proposal over the communicator's M*W ranks.
+/// `batches[r]` follows the distribute_batch layout for rank r (portion r
+/// of every problem). Returns makespan + breakdown including the MPI
+/// communication (the data behind Figure 14).
 ///
-/// Breakdown entries are Stage1 / Stage2+Comm / Stage3 / MPI_Barrier, cut
-/// at stage-boundary instants, summing to result.seconds exactly.
-template <typename T, typename Op>
-RunResult scan_mps_multinode_overlapped(msg::Communicator& comm,
-                                        std::vector<GpuBatch<T>>& batches,
-                                        std::int64_t n, std::int64_t g,
-                                        const ScanPlan& plan, ScanKind kind,
-                                        Op op, WorkspacePool* ws) {
+/// The same (wave, rank) cell body as scan_mps, over the rank-major
+/// combined array (rank r's rows at offset r*g*bx, matching MPI_Gather,
+/// so one wave of one rank is a contiguous region) and the communicator
+/// instead of the transfer engine. The synchronous schedule (no overlap,
+/// or a single rank) moves the chunk reductions with the blocking
+/// MPI_Gather/MPI_Scatter collectives and cuts a stage after each; the
+/// overlapped one sends every (wave, rank) cell by MPI_Isend on the
+/// endpoints' DMA engines, gated on its producer's event, and scans one
+/// rank's column group per wave with the running row carry. Both apply
+/// the operator in ascending rank order per row, so results are
+/// bit-identical. Entry/exit barriers bracket the pipeline ("After
+/// synchronizing all MPI processes, the first stage is executed.").
+///
+/// Every breakdown entry is a [stage boundary, stage boundary] window cut
+/// on the global compute front (or the last prefix arrival), NOT the
+/// communicator's master-dwell numbers: dwell is measured from the
+/// master's own entry clock, which lags the front whenever a compute
+/// straggler stretches Stage 1, and a "combined window minus dwell"
+/// subtraction then goes negative. With homogeneous ranks (every healthy
+/// run) both accountings coincide.
+template <typename T, typename Op = Plus<T>>
+RunResult scan_mps_multinode(msg::Communicator& comm,
+                             std::vector<GpuBatch<T>>& batches,
+                             std::int64_t n, std::int64_t g,
+                             const ScanPlan& plan, ScanKind kind, Op op = {},
+                             WorkspacePool* ws = nullptr) {
+  plan.validate();
   const int ranks = comm.size();
+  MGS_REQUIRE(static_cast<int>(batches.size()) == ranks,
+              "scan_mps_multinode: one batch per rank required");
+  MGS_REQUIRE(n % ranks == 0, "scan_mps_multinode: N must divide by M*W");
   const std::int64_t n_local = n / ranks;
   const BatchLayout lay = make_layout(n_local, g, plan.s13);
+  const detail::Schedule sched = detail::schedule_of(plan.pipe, ranks, g);
+  const int k = sched.waves;
+  const auto wave_begin = [&](int v) { return (g * v) / k; };
 
   topo::Cluster& cluster = comm.cluster();
   RunResult result;
@@ -53,18 +69,17 @@ RunResult scan_mps_multinode_overlapped(msg::Communicator& comm,
     return t;
   };
   double t0 = compute_front();
-  for (int r = 0; r < ranks; ++r) {
-    t0 = std::max(t0, cluster.device(comm.device_of(r)).dma_clock().now());
+  if (!sched.sync) {
+    for (int r = 0; r < ranks; ++r) {
+      t0 = std::max(t0, cluster.device(comm.device_of(r)).dma_clock().now());
+    }
   }
-
-  const int k = static_cast<int>(
-      std::clamp<std::int64_t>(plan.pipe.waves, 1, g));
-  const auto wave_begin = [&](int v) { return (g * v) / k; };
 
   simt::Device& master = cluster.device(comm.device_of(0));
   auto aux_all = acquire_workspace<T>(
       ws, master, static_cast<std::int64_t>(ranks) * g * lay.bx);
-  auto carry = acquire_workspace<T>(ws, master, g);
+  WorkspacePool::Handle<T> carry;
+  if (!sched.sync) carry = acquire_workspace<T>(ws, master, g);
   std::vector<WorkspacePool::Handle<T>> aux_local;
   aux_local.reserve(static_cast<std::size_t>(ranks));
   for (int r = 0; r < ranks; ++r) {
@@ -74,220 +89,119 @@ RunResult scan_mps_multinode_overlapped(msg::Communicator& comm,
 
   auto entry_stage = obs::open_stage("EntryBarrier", t0);
   comm.barrier();
-  const double t_sync = compute_front();
+  double boundary = compute_front();
+  const double t_sync = boundary;
   entry_stage.close(t_sync);
+  const auto window = [&](const char* name, int device, auto body) {
+    detail::stage_window(result.breakdown, boundary, compute_front(), name,
+                         device, body);
+  };
 
-  const auto idx = [ranks](int v, int r) { return v * ranks + r; };
-  std::vector<simt::Event> ev_s1(static_cast<std::size_t>(k * ranks));
-  std::vector<simt::Event> ev_gather(static_cast<std::size_t>(k * ranks));
-  std::vector<simt::Event> ev_scatter(static_cast<std::size_t>(k * ranks));
-
-  // ---- Stage 1 on every rank, in waves.
-  auto stage1 = obs::open_stage("Stage1", t_sync);
-  for (int r = 0; r < ranks; ++r) {
-    simt::Stream s(cluster.device(comm.device_of(r)));
-    for (int v = 0; v < k; ++v) {
-      const std::int64_t g0 = wave_begin(v);
-      const std::int64_t gn = wave_begin(v + 1) - g0;
-      launch_chunk_reduce(s.device(), batches[static_cast<std::size_t>(r)].in,
-                          aux_local[static_cast<std::size_t>(r)].buffer(),
-                          lay, plan.s13, op, g0, gn);
-      ev_s1[static_cast<std::size_t>(idx(v, r))] = s.record();
-    }
-  }
-  const double t_stage1 = compute_front();
-  stage1.close(t_stage1);
-  result.breakdown.add("Stage1", t_stage1 - t_sync);
-
-  // ---- Stage 2 + communication. Rank r's rows of wave v form one
-  // contiguous region of the rank-major array (offset r*g*bx + g0*bx), so
-  // each (wave, rank) gather is a single Isend gated on its Stage-1 event.
-  auto stage2 = obs::open_stage("Stage2+Comm", t_stage1);
-  for (int v = 0; v < k; ++v) {
-    const std::int64_t g0 = wave_begin(v);
-    const std::int64_t gn = wave_begin(v + 1) - g0;
-    for (int r = 0; r < ranks; ++r) {
-      ev_gather[static_cast<std::size_t>(idx(v, r))] = comm.isend(
-          r, 0, aux_local[static_cast<std::size_t>(r)].buffer(), g0 * lay.bx,
-          aux_all.buffer(),
-          static_cast<std::int64_t>(r) * g * lay.bx + g0 * lay.bx,
-          gn * lay.bx, ev_s1[static_cast<std::size_t>(idx(v, r))]);
-    }
-  }
+  const auto cell = [ranks](int v, int r) {
+    return static_cast<std::size_t>(v * ranks + r);
+  };
+  const auto cells = static_cast<std::size_t>(k * ranks);
+  std::vector<simt::Event> ev_s1(cells);
+  std::vector<simt::Event> ev_gather(cells);
+  std::vector<simt::Event> ev_scatter(cells);
+  // One wave of rank r's rows: its offset in the rank-major array.
+  const auto region = [&](int v, int r) {
+    return static_cast<std::int64_t>(r) * g * lay.bx + wave_begin(v) * lay.bx;
+  };
   simt::Stream master_stream(master);
-  for (int v = 0; v < k; ++v) {
-    const std::int64_t g0 = wave_begin(v);
-    const std::int64_t gn = wave_begin(v + 1) - g0;
-    for (int r = 0; r < ranks; ++r) {
-      master_stream.wait(ev_gather[static_cast<std::size_t>(idx(v, r))]);
-      launch_intermediate_scan_ranked_slice(
-          master, aux_all.buffer(), lay.bx, ranks, g, g0, gn,
-          static_cast<std::int64_t>(r) * lay.bx, lay.bx, carry.buffer(),
-          plan.s2, op);
-      ev_scatter[static_cast<std::size_t>(idx(v, r))] = comm.isend(
-          0, r, aux_all.buffer(),
-          static_cast<std::int64_t>(r) * g * lay.bx + g0 * lay.bx,
-          aux_local[static_cast<std::size_t>(r)].buffer(), g0 * lay.bx,
-          gn * lay.bx, master_stream.record());
+  const int group = sched.sync ? ranks : 1;
+  const auto scan_group = [&](int v, int r0) {
+    for (int r = r0; r < r0 + group; ++r) {
+      master_stream.wait(ev_gather[cell(v, r)]);
     }
+    const std::int64_t g0 = wave_begin(v);
+    launch_intermediate_scan_ranked(
+        master, aux_all.buffer(), lay.bx, ranks, g, plan.s2, op, g0,
+        wave_begin(v + 1) - g0, r0 * lay.bx, group * lay.bx,
+        sched.sync ? nullptr : &carry.buffer());
+  };
+
+  // ---- Stage 1 on every rank, per wave.
+  window("Stage1", -1, [&] {
+    for (int r = 0; r < ranks; ++r) {
+      simt::Stream s(cluster.device(comm.device_of(r)));
+      for (int v = 0; v < k; ++v) {
+        const std::int64_t g0 = wave_begin(v);
+        launch_chunk_reduce(s.device(), batches[static_cast<std::size_t>(r)].in,
+                            aux_local[static_cast<std::size_t>(r)].buffer(),
+                            lay, plan.s13, op, g0, wave_begin(v + 1) - g0);
+        ev_s1[cell(v, r)] = s.record();
+      }
+    }
+    return compute_front();
+  });
+
+  // ---- Gather, Stage 2, scatter.
+  if (sched.sync) {
+    std::vector<msg::Slice<T>> slices;
+    for (int r = 0; r < ranks; ++r) {
+      slices.push_back({&aux_local[static_cast<std::size_t>(r)].buffer(), 0,
+                        lay.aux_elems()});
+    }
+    window("MPI_Gather", -1, [&] {
+      ev_gather.assign(cells, {comm.gather(0, slices, aux_all.buffer(), 0)});
+      return compute_front();
+    });
+    window("Stage2", comm.device_of(0), [&] {
+      scan_group(0, 0);  // the one wave's one group
+      return compute_front();
+    });
+    window("MPI_Scatter", -1, [&] {
+      ev_scatter.assign(cells, {comm.scatter(0, aux_all.buffer(), 0, slices)});
+      return compute_front();
+    });
+  } else {
+    window("Stage2+Comm", -1, [&] {
+      for (int v = 0; v < k; ++v) {
+        for (int r = 0; r < ranks; ++r) {
+          ev_gather[cell(v, r)] = comm.isend(
+              r, 0, aux_local[static_cast<std::size_t>(r)].buffer(),
+              wave_begin(v) * lay.bx, aux_all.buffer(), region(v, r),
+              (wave_begin(v + 1) - wave_begin(v)) * lay.bx, ev_s1[cell(v, r)]);
+        }
+      }
+      double t_out = 0.0;
+      for (int v = 0; v < k; ++v) {
+        for (int r = 0; r < ranks; ++r) {
+          scan_group(v, r);
+          ev_scatter[cell(v, r)] = comm.isend(
+              0, r, aux_all.buffer(), region(v, r),
+              aux_local[static_cast<std::size_t>(r)].buffer(),
+              wave_begin(v) * lay.bx,
+              (wave_begin(v + 1) - wave_begin(v)) * lay.bx,
+              master_stream.record());
+          t_out = std::max(t_out, ev_scatter[cell(v, r)].seconds);
+        }
+      }
+      return t_out;
+    });
   }
-  double t_stage2 = t_stage1;
-  for (const simt::Event& e : ev_scatter) {
-    t_stage2 = std::max(t_stage2, e.seconds);
-  }
-  stage2.close(t_stage2);
-  result.breakdown.add("Stage2+Comm", t_stage2 - t_stage1);
 
   // ---- Stage 3 per rank per wave, gated on the prefix arrival.
-  auto stage3 = obs::open_stage("Stage3", t_stage2);
-  for (int r = 0; r < ranks; ++r) {
-    simt::Stream s(cluster.device(comm.device_of(r)));
-    for (int v = 0; v < k; ++v) {
-      const std::int64_t g0 = wave_begin(v);
-      const std::int64_t gn = wave_begin(v + 1) - g0;
-      s.wait(ev_scatter[static_cast<std::size_t>(idx(v, r))]);
-      launch_scan_add(s.device(), batches[static_cast<std::size_t>(r)].in,
-                      batches[static_cast<std::size_t>(r)].out,
-                      aux_local[static_cast<std::size_t>(r)].buffer(), lay,
-                      plan.s13, kind, op, g0, gn);
+  window("Stage3", -1, [&] {
+    for (int r = 0; r < ranks; ++r) {
+      simt::Stream s(cluster.device(comm.device_of(r)));
+      for (int v = 0; v < k; ++v) {
+        const std::int64_t g0 = wave_begin(v);
+        s.wait(ev_scatter[cell(v, r)]);
+        launch_scan_add(s.device(), batches[static_cast<std::size_t>(r)].in,
+                        batches[static_cast<std::size_t>(r)].out,
+                        aux_local[static_cast<std::size_t>(r)].buffer(), lay,
+                        plan.s13, kind, op, g0, wave_begin(v + 1) - g0);
+      }
     }
-  }
-  const double t_stage3 = std::max(t_stage2, compute_front());
-  stage3.close(t_stage3);
-  result.breakdown.add("Stage3", t_stage3 - t_stage2);
+    return compute_front();
+  });
 
+  const double t_stage3 = boundary;
   auto exit_stage = obs::open_stage("ExitBarrier", t_stage3);
   comm.barrier();
   const double t_end = compute_front();
-  exit_stage.close(t_end);
-  result.breakdown.add("MPI_Barrier", (t_sync - t0) + (t_end - t_stage3));
-
-  result.seconds = t_end - t0;
-  result.faults.counters = comm.fault_counters();
-  return result;
-}
-
-}  // namespace detail
-
-/// Run the multi-node proposal over the communicator's M*W ranks.
-/// `batches[r]` follows the distribute_batch layout for rank r (portion r
-/// of every problem). Returns makespan + breakdown including the MPI
-/// collectives (the data behind Figure 14). With plan.pipe.overlap set the
-/// event-driven Isend pipeline above replaces the blocking collectives;
-/// results are bit-identical either way.
-template <typename T, typename Op = Plus<T>>
-RunResult scan_mps_multinode(msg::Communicator& comm,
-                             std::vector<GpuBatch<T>>& batches,
-                             std::int64_t n, std::int64_t g,
-                             const ScanPlan& plan, ScanKind kind, Op op = {},
-                             WorkspacePool* ws = nullptr) {
-  plan.validate();
-  const int ranks = comm.size();
-  MGS_REQUIRE(static_cast<int>(batches.size()) == ranks,
-              "scan_mps_multinode: one batch per rank required");
-  MGS_REQUIRE(n % ranks == 0, "scan_mps_multinode: N must divide by M*W");
-  if (plan.pipe.overlap && ranks > 1) {
-    return detail::scan_mps_multinode_overlapped(comm, batches, n, g, plan,
-                                                 kind, op, ws);
-  }
-  const std::int64_t n_local = n / ranks;
-  const BatchLayout lay = make_layout(n_local, g, plan.s13);
-
-  topo::Cluster& cluster = comm.cluster();
-  RunResult result;
-  result.payload_bytes = 2ull * static_cast<std::uint64_t>(n) * g * sizeof(T);
-  comm.reset_breakdown();
-  comm.reset_fault_counters();
-
-  auto phase_start = [&] {
-    double t = 0.0;
-    for (int r = 0; r < ranks; ++r) {
-      t = std::max(t, cluster.device(comm.device_of(r)).clock().now());
-    }
-    return t;
-  };
-  const double t0 = phase_start();
-
-  // Master allocates the combined array for Stage 2 (rank-major layout:
-  // rank r's contribution at offset r*g*bx, matching MPI_Gather).
-  simt::Device& master = cluster.device(comm.device_of(0));
-  auto aux_all = acquire_workspace<T>(
-      ws, master, static_cast<std::int64_t>(ranks) * g * lay.bx);
-  std::vector<WorkspacePool::Handle<T>> aux_local;
-  aux_local.reserve(static_cast<std::size_t>(ranks));
-  for (int r = 0; r < ranks; ++r) {
-    aux_local.push_back(acquire_workspace<T>(
-        ws, cluster.device(comm.device_of(r)), lay.aux_elems()));
-  }
-
-  // "After synchronizing all MPI processes, the first stage is executed."
-  auto entry_stage = obs::open_stage("EntryBarrier", t0);
-  comm.barrier();
-  const double t_sync = phase_start();
-  entry_stage.close(t_sync);
-
-  // ---- Stage 1 on every rank.
-  auto stage1 = obs::open_stage("Stage1", t_sync);
-  for (int r = 0; r < ranks; ++r) {
-    launch_chunk_reduce(cluster.device(comm.device_of(r)),
-                        batches[static_cast<std::size_t>(r)].in,
-                        aux_local[static_cast<std::size_t>(r)].buffer(), lay,
-                        plan.s13, op);
-  }
-  const double t_stage1 = phase_start();
-  stage1.close(t_stage1);
-  result.breakdown.add("Stage1", t_stage1 - t_sync);
-
-  // ---- MPI_Gather of the chunk reductions to rank 0. Every breakdown
-  // entry below is a [stage boundary, stage boundary] window cut on the
-  // global compute front, NOT the communicator's master-dwell numbers:
-  // dwell is measured from the master's own entry clock, which lags the
-  // front whenever a compute straggler stretches Stage 1, and the old
-  // "combined window minus dwell" subtraction then went negative. With
-  // homogeneous ranks (every healthy run) both accountings coincide.
-  auto gather_stage = obs::open_stage("MPI_Gather", t_stage1);
-  std::vector<msg::Slice<T>> slices;
-  for (int r = 0; r < ranks; ++r) {
-    slices.push_back({&aux_local[static_cast<std::size_t>(r)].buffer(), 0,
-                      lay.aux_elems()});
-  }
-  comm.gather(0, slices, aux_all.buffer(), 0);
-  const double t_gather = phase_start();
-  gather_stage.close(t_gather);
-  result.breakdown.add("MPI_Gather", t_gather - t_stage1);
-
-  // ---- Stage 2 on the master GPU over the rank-major layout.
-  auto stage2 = obs::open_stage("Stage2", t_gather, comm.device_of(0));
-  launch_intermediate_scan_ranked(master, aux_all.buffer(), lay.bx, ranks, g,
-                                  plan.s2, op);
-  const double t_stage2_end = phase_start();
-  stage2.close(t_stage2_end);
-  result.breakdown.add("Stage2", t_stage2_end - t_gather);
-
-  // ---- MPI_Scatter the scanned prefixes back (each rank's region of the
-  // rank-major array is contiguous).
-  auto scatter_stage = obs::open_stage("MPI_Scatter", t_stage2_end);
-  comm.scatter(0, aux_all.buffer(), 0, slices);
-
-  // ---- Stage 3 on every rank.
-  const double t_stage3_begin = phase_start();
-  scatter_stage.close(t_stage3_begin);
-  result.breakdown.add("MPI_Scatter", t_stage3_begin - t_stage2_end);
-  auto stage3 = obs::open_stage("Stage3", t_stage3_begin);
-  for (int r = 0; r < ranks; ++r) {
-    launch_scan_add(cluster.device(comm.device_of(r)),
-                    batches[static_cast<std::size_t>(r)].in,
-                    batches[static_cast<std::size_t>(r)].out,
-                    aux_local[static_cast<std::size_t>(r)].buffer(), lay,
-                    plan.s13, kind, op);
-  }
-  const double t_stage3 = phase_start();
-  stage3.close(t_stage3);
-  result.breakdown.add("Stage3", t_stage3 - t_stage3_begin);
-
-  auto exit_stage = obs::open_stage("ExitBarrier", t_stage3);
-  comm.barrier();
-  const double t_end = phase_start();
   exit_stage.close(t_end);
   result.breakdown.add("MPI_Barrier", (t_sync - t0) + (t_end - t_stage3));
 

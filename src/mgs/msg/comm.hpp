@@ -143,10 +143,8 @@ class Communicator {
   void check_ranks_alive(const char* op);
   sim::Clock& clock_of(int rank);
   double collective_alpha() const;  ///< software overhead per collective step
-  /// Emit a profiler record for one collective (no-op when disabled) and,
-  /// when a TraceSession is installed, a kCollective span plus mpi metrics.
-  void profile_collective(const char* name, double start, double completion,
-                          std::uint64_t bytes);
+  /// When a TraceSession is installed, record a kCollective span plus the
+  /// mpi metrics for one collective.
   void trace_collective(const char* name, double start, double completion,
                         std::uint64_t bytes);
 
@@ -204,8 +202,8 @@ double Communicator::gather(int root, const std::vector<Slice<T>>& slices,
 
   for (int r = 0; r < size(); ++r) clock_of(r).sync_to(completion);
   breakdown_.add("MPI_Gather", completion - t0);
-  profile_collective("MPI_Gather", start, completion,
-                     static_cast<std::uint64_t>(count) * size() * sizeof(T));
+  trace_collective("MPI_Gather", start, completion,
+                   static_cast<std::uint64_t>(count) * size() * sizeof(T));
   return completion;
 }
 
@@ -250,8 +248,8 @@ double Communicator::scatter(int root, const simt::DeviceBuffer<T>& send,
 
   for (int r = 0; r < size(); ++r) clock_of(r).sync_to(completion);
   breakdown_.add("MPI_Scatter", completion - t0);
-  profile_collective("MPI_Scatter", start, completion,
-                     static_cast<std::uint64_t>(count) * size() * sizeof(T));
+  trace_collective("MPI_Scatter", start, completion,
+                   static_cast<std::uint64_t>(count) * size() * sizeof(T));
   return completion;
 }
 
@@ -302,8 +300,8 @@ double Communicator::bcast(int root, const simt::DeviceBuffer<T>& send,
 
   for (int r = 0; r < size(); ++r) clock_of(r).sync_to(completion);
   breakdown_.add("MPI_Bcast", completion - t0);
-  profile_collective("MPI_Bcast", start, completion,
-                     static_cast<std::uint64_t>(count) * size() * sizeof(T));
+  trace_collective("MPI_Bcast", start, completion,
+                   static_cast<std::uint64_t>(count) * size() * sizeof(T));
   return completion;
 }
 
@@ -364,8 +362,8 @@ double Communicator::send_recv(int src_rank, int dst_rank,
   clock_of(src_rank).sync_to(completion);
   clock_of(dst_rank).sync_to(completion);
   breakdown_.add("MPI_SendRecv", completion - t0);
-  profile_collective("MPI_SendRecv", start, completion,
-                     static_cast<std::uint64_t>(count) * sizeof(T));
+  trace_collective("MPI_SendRecv", start, completion,
+                   static_cast<std::uint64_t>(count) * sizeof(T));
   return completion;
 }
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "mgs/obs/span.hpp"
-#include "mgs/sim/profiler.hpp"
 
 namespace mgs::topo {
 
@@ -22,19 +21,6 @@ obs::Category category_of(LinkType link) {
       return obs::Category::kMpi;
   }
   return obs::Category::kOther;
-}
-
-void profile_transfer(LinkType link, int dst_dev, double start,
-                      double seconds, std::uint64_t bytes) {
-  if (!sim::Profiler::instance().enabled()) return;
-  sim::ProfileRecord rec;
-  rec.name = std::string("copy:") + to_string(link);
-  rec.kind = sim::EventKind::kTransfer;
-  rec.device_id = dst_dev;
-  rec.start_seconds = start;
-  rec.duration_seconds = seconds;
-  rec.bytes = bytes;
-  sim::Profiler::instance().record(std::move(rec));
 }
 
 }  // namespace
@@ -266,7 +252,6 @@ TransferResult TransferEngine::account_on(int src_dev, int dst_dev,
   if (completed_at != nullptr) *completed_at = start + seconds;
 
   breakdown_.add(to_string(link), seconds);
-  profile_transfer(link, dst_dev, start, seconds, bytes);
   if (ts != nullptr) {
     obs::SpanRecord rec;
     rec.name = std::string("copy:") + to_string(link);

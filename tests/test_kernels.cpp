@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "mgs/baselines/reference.hpp"
 #include "mgs/core/kernels.hpp"
@@ -93,6 +95,23 @@ TEST(IntermediateScan, ExclusiveRowsInPlace) {
       acc += data[static_cast<std::size_t>(r * len + i)];
     }
   }
+
+  // Same input in uneven column chunks and two row slices, chunks of a row
+  // in ascending order with the running carry: the full-row output.
+  auto chunked = dev.alloc<int>(rows * len);
+  auto carry = dev.alloc<int>(rows);
+  std::copy(data.begin(), data.end(), chunked.host_span().begin());
+  for (const auto& [g0, gn] : {std::pair<std::int64_t, std::int64_t>{0, 3},
+                               {3, rows - 3}}) {
+    for (std::int64_t c0 = 0; c0 < len; c0 += 13) {
+      mc::launch_intermediate_scan(dev, chunked, len, rows, plan.s2,
+                                   Plus<int>{}, g0, gn, c0,
+                                   std::min<std::int64_t>(13, len - c0),
+                                   &carry);
+    }
+  }
+  EXPECT_TRUE(std::equal(chunked.host_span().begin(),
+                         chunked.host_span().end(), aux.host_span().begin()));
 }
 
 TEST(IntermediateScanRanked, MatchesLogicalRowScan) {
@@ -117,6 +136,19 @@ TEST(IntermediateScanRanked, MatchesLogicalRowScan) {
       acc += data[static_cast<std::size_t>(off)];
     }
   }
+
+  // One column chunk per rank (the pipelined multinode cell), in rank
+  // order with the running carry: the full-row output.
+  auto chunked = dev.alloc<int>(ranks * rows * bx);
+  auto carry = dev.alloc<int>(rows);
+  std::copy(data.begin(), data.end(), chunked.host_span().begin());
+  for (std::int64_t r = 0; r < ranks; ++r) {
+    mc::launch_intermediate_scan_ranked(dev, chunked, bx, ranks, rows,
+                                        plan.s2, Plus<int>{}, 0, rows, r * bx,
+                                        bx, &carry);
+  }
+  EXPECT_TRUE(std::equal(chunked.host_span().begin(),
+                         chunked.host_span().end(), aux.host_span().begin()));
 }
 
 TEST(IntermediateScanRanked, StridedAccessesCostMore) {
