@@ -23,7 +23,9 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <string_view>
 #include <type_traits>
+#include <vector>
 
 #include "common.hpp"
 #include "mgs/baselines/cub.hpp"
@@ -116,27 +118,13 @@ void BM_LaunchOverheadHost(benchmark::State& state) {
 BENCHMARK(BM_LaunchOverheadHost);
 
 // ------------------------------------------------------------------------
-// The flags bench_micro peels off before google-benchmark parses argv.
+// bench_micro's flags: the shared bench run flags plus a results override.
+// Only the traced representative run is recorded, so `trace` is a plain
+// path here (no TraceGuard).
 
-struct MicroOptions {
-  std::string faults;
-  std::string trace = "bench_results/bench_micro_run_report.json";
+struct MicroOptions : mgs::bench::BenchConfig {
   std::string out;  ///< results JSON override (e.g. for fault-seeded runs
                     ///< that must not clobber the tracked snapshot)
-  std::string history_label;  ///< history-store label; auto-detected from
-                              ///< git when omitted ("none" disables)
-  std::string history_file = "bench_results/history.ndjson";
-  mc::DType dtype = mc::DType::kI32;
-  mc::OpTag op = mc::OpTag::kPlus;
-
-  const char* dtype_name() const { return mc::to_string(dtype); }
-  const char* op_name() const { return mc::to_string(op); }
-  /// "" for i32/plus, "_f64_max"-style otherwise: non-default configs
-  /// write side-by-side JSON instead of clobbering the tracked baseline.
-  std::string file_suffix() const {
-    if (dtype == mc::DType::kI32 && op == mc::OpTag::kPlus) return "";
-    return std::string("_") + dtype_name() + "_" + op_name();
-  }
 };
 
 // ------------------------------------------------------------------------
@@ -408,26 +396,8 @@ TraceSummary run_traced_case(const MicroOptions& opts,
   s.metric_series = ts.metrics().snapshot().size();
   s.makespan_s = cp.total_seconds;
   s.by_category = cp.by_category;
-  if (!opts.history_label.empty()) {
-    try {
-      mgs::obs::HistoryEntry e;
-      e.key.executor = "Scan-MPS";
-      e.key.dtype = opts.dtype_name();
-      e.key.op = opts.op_name();
-      e.key.pipeline = "overlap";
-      e.key.n = static_cast<std::uint64_t>(n);
-      e.key.g = g;
-      e.key.devices = 4;
-      e.label = opts.history_label;
-      e.seconds = r.seconds;
-      e.payload_bytes = r.payload_bytes;
-      e.breakdown = r.breakdown.entries();
-      e.by_category = cp.by_category;
-      mgs::obs::RunHistory(opts.history_file).append(e);
-    } catch (const std::exception& ex) {
-      std::fprintf(stderr, "history: %s\n", ex.what());
-    }
-  }
+  mgs::bench::record_history(opts, "Scan-MPS", n, g, 4, "overlap", r,
+                             cp.by_category);
   return s;
 }
 
@@ -627,65 +597,42 @@ void report_all(const MicroOptions& opts) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Peel --faults / --trace / --dtype / --op off before google-benchmark
-  // sees the arguments (it rejects flags it does not know).
+  // google-benchmark sees only its own --benchmark_* flags; util::Cli
+  // parses the rest and rejects typos before any traced case runs.
+  std::vector<char*> ours{argv[0]};
+  std::vector<char*> theirs{argv[0]};
+  for (int i = 1; i < argc; ++i) {
+    const bool bench_flag =
+        std::string_view(argv[i]).starts_with("--benchmark_");
+    (bench_flag ? theirs : ours).push_back(argv[i]);
+  }
   MicroOptions opts;
-  std::vector<char*> keep;
-  std::string dtype = "i32";
-  std::string op = "plus";
-  for (int i = 0; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--faults" && i + 1 < argc) {
-      opts.faults = argv[++i];
-    } else if (a.rfind("--faults=", 0) == 0) {
-      opts.faults = a.substr(9);
-    } else if (a == "--trace" && i + 1 < argc) {
-      opts.trace = argv[++i];
-    } else if (a.rfind("--trace=", 0) == 0) {
-      opts.trace = a.substr(8);
-    } else if (a == "--out" && i + 1 < argc) {
-      opts.out = argv[++i];
-    } else if (a.rfind("--out=", 0) == 0) {
-      opts.out = a.substr(6);
-    } else if (a == "--dtype" && i + 1 < argc) {
-      dtype = argv[++i];
-    } else if (a.rfind("--dtype=", 0) == 0) {
-      dtype = a.substr(8);
-    } else if (a == "--op" && i + 1 < argc) {
-      op = argv[++i];
-    } else if (a.rfind("--op=", 0) == 0) {
-      op = a.substr(5);
-    } else if (a == "--history-label" && i + 1 < argc) {
-      opts.history_label = argv[++i];
-    } else if (a.rfind("--history-label=", 0) == 0) {
-      opts.history_label = a.substr(16);
-    } else if (a == "--history-file" && i + 1 < argc) {
-      opts.history_file = argv[++i];
-    } else if (a.rfind("--history-file=", 0) == 0) {
-      opts.history_file = a.substr(15);
-    } else {
-      keep.push_back(argv[i]);
+  try {
+    mgs::util::Cli cli(static_cast<int>(ours.size()), ours.data());
+    mgs::bench::describe_run_flags(cli);
+    cli.describe("out", "results JSON path (default bench_results/"
+                        "bench_micro[_<dtype>_<op>].json)");
+    if (cli.help_requested()) {
+      cli.print_help("Substrate microbenchmarks plus the repeated-invocation, "
+                     "segmented and traced Scan-MPS reports. --benchmark_* "
+                     "flags go to google-benchmark.");
+      return 0;
     }
+    cli.reject_unknown();
+    mgs::bench::read_run_flags(cli, opts);
+    if (opts.trace.empty()) {
+      // Default trace path follows the dtype/op suffix convention too.
+      opts.trace = "bench_results/bench_micro_run_report" +
+                   opts.file_suffix() + ".json";
+    }
+    opts.out = cli.get_string("out", "");
+  } catch (const mgs::util::Error& e) {
+    std::fprintf(stderr, "bench_micro: %s\n", e.what());
+    return 2;
   }
-  opts.dtype = mc::parse_dtype(dtype);
-  opts.op = mc::parse_op(op);
-  // Same auto-label convention as parse_bench_config: unlabeled runs
-  // record under the current commit, "none" opts out.
-  if (opts.history_label.empty()) {
-    opts.history_label = mgs::bench::detect_git_label();
-  }
-  if (opts.history_label == "none") opts.history_label.clear();
-  if (opts.trace == "bench_results/bench_micro_run_report.json") {
-    // Default trace path follows the dtype/op suffix convention too.
-    opts.trace =
-        "bench_results/bench_micro_run_report" + opts.file_suffix() + ".json";
-  }
-  if (!opts.faults.empty()) {
-    mgs::sim::parse_fault_plan(opts.faults);  // fail fast on a bad spec
-  }
-  argc = static_cast<int>(keep.size());
-  argv = keep.data();
   report_all(opts);
+  argc = static_cast<int>(theirs.size());
+  argv = theirs.data();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

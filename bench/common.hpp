@@ -140,19 +140,15 @@ struct BenchConfig {
   }
 };
 
-inline BenchConfig parse_bench_config(int argc, char** argv,
-                                      const std::string& summary) {
-  util::Cli cli(argc, argv);
-  cli.describe("total-log2", "log2 of total elements per point (default 22; paper used 28)");
-  cli.describe("min-n-log2", "smallest per-problem size exponent (default 13)");
-  cli.describe("csv", "emit CSV instead of an aligned table");
-  cli.describe("seed", "RNG seed for the input data");
+/// The flags every bench binary shares: the fault plan, the run-report
+/// path, the (dtype, op) cell and the run-history store.
+inline void describe_run_flags(util::Cli& cli) {
   cli.describe("faults",
                "fault-injection spec, e.g. 'transient:prob=0.01;straggler:dev=1,factor=4' "
                "(kinds: transient, link-down, device-down, corrupt, straggler, policy)");
   cli.describe("trace",
-               "record every run in an obs::TraceSession and write the JSON "
-               "run-report here at exit (inspect with mgs_trace --in FILE)");
+               "record the runs in an obs::TraceSession and write the JSON "
+               "run-report here (inspect with mgs_trace --in FILE)");
   cli.describe("dtype",
                "element type: i32 (default), i64, u32, f32, f64");
   cli.describe("op", "scan operator: plus (default), max, min");
@@ -163,24 +159,16 @@ inline BenchConfig parse_bench_config(int argc, char** argv,
                "recording");
   cli.describe("history-file",
                "history store path (default bench_results/history.ndjson)");
-  if (cli.help_requested()) {
-    cli.print_help(summary);
-    std::exit(0);
-  }
-  cli.reject_unknown();
-  BenchConfig cfg;
-  cfg.total_log2 = static_cast<int>(cli.get_int("total-log2", 22));
-  cfg.min_n_log2 = static_cast<int>(cli.get_int("min-n-log2", 13));
-  cfg.csv = cli.get_bool("csv", false);
-  cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed", 20180521));
+}
+
+/// Read the describe_run_flags set into `cfg`. Only the --trace path is
+/// stored; what a trace records is up to the binary.
+inline void read_run_flags(const util::Cli& cli, BenchConfig& cfg) {
   cfg.faults = cli.get_string("faults", "");
   if (!cfg.faults.empty()) {
     sim::parse_fault_plan(cfg.faults);  // fail fast on a malformed spec
   }
   cfg.trace = cli.get_string("trace", "");
-  if (!cfg.trace.empty()) {
-    cfg.trace_guard = std::make_shared<TraceGuard>(cfg.trace);
-  }
   cfg.dtype = core::parse_dtype(cli.get_string("dtype", "i32"));
   cfg.op = core::parse_op(cli.get_string("op", "plus"));
   // Auto-label: an explicit --history-label wins; otherwise every run is
@@ -191,6 +179,30 @@ inline BenchConfig parse_bench_config(int argc, char** argv,
   if (cfg.history_label == "none") cfg.history_label.clear();
   cfg.history_file =
       cli.get_string("history-file", "bench_results/history.ndjson");
+}
+
+inline BenchConfig parse_bench_config(int argc, char** argv,
+                                      const std::string& summary) {
+  util::Cli cli(argc, argv);
+  cli.describe("total-log2", "log2 of total elements per point (default 22; paper used 28)");
+  cli.describe("min-n-log2", "smallest per-problem size exponent (default 13)");
+  cli.describe("csv", "emit CSV instead of an aligned table");
+  cli.describe("seed", "RNG seed for the input data");
+  describe_run_flags(cli);
+  if (cli.help_requested()) {
+    cli.print_help(summary);
+    std::exit(0);
+  }
+  cli.reject_unknown();
+  BenchConfig cfg;
+  cfg.total_log2 = static_cast<int>(cli.get_int("total-log2", 22));
+  cfg.min_n_log2 = static_cast<int>(cli.get_int("min-n-log2", 13));
+  cfg.csv = cli.get_bool("csv", false);
+  cfg.seed = static_cast<std::uint64_t>(cli.get_int("seed", 20180521));
+  read_run_flags(cli, cfg);
+  if (!cfg.trace.empty()) {
+    cfg.trace_guard = std::make_shared<TraceGuard>(cfg.trace);
+  }
   MGS_REQUIRE(cfg.total_log2 >= cfg.min_n_log2 && cfg.total_log2 <= 28,
               "--total-log2 must be in [--min-n-log2, 28]");
   return cfg;

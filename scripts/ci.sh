@@ -43,13 +43,12 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure
 # op) cell (simulated time is deterministic) and gate each modeled
 # makespan against its committed per-configuration baseline
 # (BENCH_baseline.json for i32/plus, BENCH_baseline_<dtype>_<op>.json
-# otherwise; bench_check --baseline auto picks the right file). The
-# microbenchmark sweep itself is skipped via the filter -- only the
-# traced run-reports matter here. Every run also appends a labeled point
-# to the bench_results/history.ndjson longitudinal store; on a >5%
-# regression bench_check prints the top-3 attribution from the two
-# reports' critical paths, renders the full mgs_perf ranked diff table,
-# and writes the diff JSON for artifact upload.
+# otherwise; mgs_perf gate picks the right file). The microbenchmark
+# sweep itself is skipped via the filter -- only the traced run-reports
+# matter here. Every run also appends a labeled point to the
+# bench_results/history.ndjson longitudinal store; on a >5% regression
+# the gate prints the top-10 ranked attribution table and writes the
+# diff JSON for artifact upload.
 HISTORY_LABEL=${HISTORY_LABEL:-$(git rev-parse --short HEAD 2>/dev/null || echo local)}
 for cfg in "i32 plus" "f64 max" "i64 min"; do
   read -r DT OP <<<"$cfg"
@@ -59,15 +58,13 @@ for cfg in "i32 plus" "f64 max" "i64 min"; do
     --trace "bench_results/bench_micro_run_report${SUFFIX}.json" \
     --history-label "$HISTORY_LABEL" \
     --benchmark_filter='^$'
-  python3 scripts/bench_check.py \
-    --baseline auto \
-    --current "bench_results/bench_micro_run_report${SUFFIX}.json" \
-    --mgs-perf "$BUILD_DIR"/tools/mgs_perf \
-    --diff-out "$BUILD_DIR/bench_diff${SUFFIX}.json"
+  "$BUILD_DIR"/tools/mgs_perf gate \
+    "bench_results/bench_micro_run_report${SUFFIX}.json" \
+    --json "$BUILD_DIR/bench_diff${SUFFIX}.json"
 done
 
 # Longitudinal history: show the per-key summaries and the latest movers
-# (informational -- the gates are bench_check above and trend below).
+# (informational -- the gates are mgs_perf gate above and trend below).
 "$BUILD_DIR"/tools/mgs_perf history show --file bench_results/history.ndjson
 "$BUILD_DIR"/tools/mgs_perf history top --file bench_results/history.ndjson
 
@@ -95,17 +92,14 @@ done
   --out "$BUILD_DIR/bench_micro_straggler_results.json" \
   --history-label none \
   --benchmark_filter='^$'
-if python3 scripts/bench_check.py \
-    --baseline auto \
-    --current "$BUILD_DIR/bench_micro_straggler.json" \
-    --mgs-perf "$BUILD_DIR"/tools/mgs_perf \
-    --diff-out "$BUILD_DIR/bench_diff_straggler.json" \
-    | tee "$BUILD_DIR/bench_check_straggler.log"; then
-  echo "ci: ERROR - bench_check passed a seeded 8x straggler" >&2
+if "$BUILD_DIR"/tools/mgs_perf gate "$BUILD_DIR/bench_micro_straggler.json" \
+    --json "$BUILD_DIR/bench_diff_straggler.json" \
+    | tee "$BUILD_DIR/gate_straggler.log"; then
+  echo "ci: ERROR - mgs_perf gate passed a seeded 8x straggler" >&2
   exit 1
 fi
-grep -q "top attribution" "$BUILD_DIR/bench_check_straggler.log" || {
-  echo "ci: ERROR - bench_check failed without printing attribution" >&2
+grep -q "top attribution" "$BUILD_DIR/gate_straggler.log" || {
+  echo "ci: ERROR - mgs_perf gate failed without printing attribution" >&2
   exit 1
 }
 echo "ci: gate self-test OK (seeded straggler caught and attributed)"

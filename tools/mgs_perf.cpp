@@ -5,6 +5,12 @@
 ///       a ranked "what got slower and where" table whose rows telescope
 ///       exactly to the makespan delta, with structural changes (plan
 ///       shape, wave count, resumed stages) flagged separately.
+///   mgs_perf gate CUR.json [--json OUT]
+///       the modeled-makespan regression gate: diffs CUR against the
+///       committed baseline of its (dtype, op) cell,
+///       bench_results/BENCH_baseline[_<dtype>_<op>].json, and fails
+///       (exit 1) past +5% with the top-10 attribution table and the diff
+///       JSON at OUT. A cell without a baseline SKIPs (exit 0).
 ///   mgs_perf history append --report R.json --label L
 ///              [--pipeline P] [--g G] [--file F]
 ///       append one run-report to the NDJSON history store.
@@ -65,6 +71,7 @@ int usage(int status) {
   std::fprintf(
       stderr,
       "usage: mgs_perf diff BASE.json CUR.json [--top N] [--json OUT]\n"
+      "       mgs_perf gate CUR.json [--json OUT]\n"
       "       mgs_perf history append --report R.json --label L\n"
       "                [--pipeline P] [--g G] [--file F]\n"
       "       mgs_perf history record --executor E --label L --seconds S\n"
@@ -80,27 +87,98 @@ int usage(int status) {
   return status;
 }
 
+/// Integer flag that must not be negative (counts, sizes, ranks).
+std::int64_t get_count(const util::Cli& cli, const std::string& name,
+                       std::int64_t def) {
+  const std::int64_t v = cli.get_int(name, def);
+  MGS_REQUIRE(v >= 0, "--" + name + " must be non-negative, got " +
+                          std::to_string(v));
+  return v;
+}
+
+/// The --json artifact of `diff` and `gate`; no-op when the flag is unset.
+void write_diff_artifact(const util::Cli& cli, const obs::ReportDiff& d) {
+  const std::string out = cli.get_string("json", "");
+  if (out.empty()) return;
+  std::ofstream os(out);
+  MGS_REQUIRE(os.good(), "mgs_perf: cannot open " + out);
+  obs::write_diff_json(os, d);
+  std::printf("\nwrote %s\n", out.c_str());
+}
+
 int cmd_diff(const std::string& base_path, const std::string& cur_path,
              util::Cli& cli) {
   cli.describe("top", "show only the N largest attribution rows (0 = all)");
   cli.describe("json", "also write the machine-readable diff here");
   cli.reject_unknown();
-  const auto base = obs::load_run_report(base_path);
-  const auto cur = obs::load_run_report(cur_path);
-  const auto d = obs::diff_reports(base, cur);
+  const auto top = static_cast<std::size_t>(get_count(cli, "top", 0));
+  const auto d = obs::diff_reports(obs::load_run_report(base_path),
+                                   obs::load_run_report(cur_path));
   std::printf("baseline: %s\ncurrent:  %s\n\n%s", base_path.c_str(),
-              cur_path.c_str(),
-              obs::format_diff(
-                  d, static_cast<std::size_t>(cli.get_int("top", 0)))
-                  .c_str());
-  const std::string out = cli.get_string("json", "");
-  if (!out.empty()) {
-    std::ofstream os(out);
-    MGS_REQUIRE(os.good(), "mgs_perf: cannot open " + out);
-    obs::write_diff_json(os, d);
-    std::printf("\nwrote %s\n", out.c_str());
-  }
+              cur_path.c_str(), obs::format_diff(d, top).c_str());
+  write_diff_artifact(cli, d);
   return 0;
+}
+
+/// Largest modeled-makespan regression `gate` lets through, percent.
+/// Modeled time is deterministic, so any drift at all is a real change
+/// to the cost model or the schedule; the slack only absorbs intended
+/// small re-tunings that re-snapshot the baseline in the same commit.
+constexpr double kGateTolerancePct = 5.0;
+
+/// Run-report whose makespan can anchor a relative delta.
+obs::RunReport load_gated_report(const std::string& path) {
+  auto rep = obs::load_run_report(path);
+  MGS_REQUIRE(rep.critical_path.total_seconds > 0.0,
+              "gate: " + path + " has a non-positive makespan");
+  return rep;
+}
+
+int cmd_gate(const std::string& cur_path, util::Cli& cli) {
+  cli.describe("json", "write the diff JSON here when the gate fails");
+  cli.reject_unknown();
+  const auto cur = load_gated_report(cur_path);
+  // Bench suffix convention: i32/plus gates against the plain file.
+  const std::string cfg = cur.run.dtype + "/" + cur.run.op;
+  const std::string base_path =
+      "bench_results/BENCH_baseline" +
+      (cfg == "i32/plus" ? "" : "_" + cur.run.dtype + "_" + cur.run.op) +
+      ".json";
+  if (!std::filesystem::exists(base_path)) {
+    std::printf("gate: SKIP - no committed baseline for %s (%s missing). "
+                "Snapshot one with `cp %s %s` to bring this configuration "
+                "under the gate.\n",
+                cfg.c_str(), base_path.c_str(), cur_path.c_str(),
+                base_path.c_str());
+    return 0;
+  }
+  const auto base = load_gated_report(base_path);
+  const std::string base_cfg = base.run.dtype + "/" + base.run.op;
+  MGS_REQUIRE(base_cfg == cfg,
+              "gate: baseline " + base_path + " is " + base_cfg +
+                  " but the current report is " + cfg +
+                  "; comparing across performance models would be noise");
+  const auto d = obs::diff_reports(base, cur);
+  std::printf("gate: config %s\n"
+              "gate: baseline makespan %10.3f us (%s)\n"
+              "gate: current  makespan %10.3f us (%s)\n"
+              "gate: delta %+.2f%% (tolerance +%.1f%%)\n",
+              cfg.c_str(), d.base_total * 1e6, base_path.c_str(),
+              d.cur_total * 1e6, cur_path.c_str(), d.delta_pct(),
+              kGateTolerancePct);
+  if (d.delta_pct() <= kGateTolerancePct) {
+    std::printf("gate: OK\n");
+    return 0;
+  }
+  std::printf("gate: top attribution of the regression:\n\n%s",
+              obs::format_diff(d, 10).c_str());
+  write_diff_artifact(cli, d);
+  std::fprintf(stderr,
+               "gate: FAIL - modeled makespan regressed %+.2f%% (> %.1f%%). "
+               "If the change is intentional, re-snapshot %s in the same "
+               "commit.\n",
+               d.delta_pct(), kGateTolerancePct, base_path.c_str());
+  return 1;
 }
 
 int cmd_history_append(util::Cli& cli) {
@@ -118,7 +196,7 @@ int cmd_history_append(util::Cli& cli) {
   const obs::RunHistory hist(cli.get_string("file", kDefaultHistory));
   const auto entry = obs::entry_from_report(
       obs::load_run_report(report), label,
-      cli.get_string("pipeline", "auto"), cli.get_int("g", 0));
+      cli.get_string("pipeline", "auto"), get_count(cli, "g", 0));
   hist.append(entry);
   std::printf("appended [%s] %s  makespan %.3f us -> %s\n", label.c_str(),
               entry.key.str().c_str(), entry.seconds * 1e6,
@@ -169,11 +247,11 @@ int cmd_history_record(util::Cli& cli) {
   e.key.dtype = cli.get_string("dtype", "i32");
   e.key.op = cli.get_string("op", "plus");
   e.key.pipeline = cli.get_string("pipeline", "auto");
-  e.key.n = static_cast<std::uint64_t>(cli.get_int("n", 0));
-  e.key.g = cli.get_int("g", 0);
-  e.key.devices = static_cast<int>(cli.get_int("devices", 0));
+  e.key.n = static_cast<std::uint64_t>(get_count(cli, "n", 0));
+  e.key.g = get_count(cli, "g", 0);
+  e.key.devices = static_cast<int>(get_count(cli, "devices", 0));
   e.payload_bytes =
-      static_cast<std::uint64_t>(cli.get_int("payload-bytes", 0));
+      static_cast<std::uint64_t>(get_count(cli, "payload-bytes", 0));
   e.breakdown = parse_breakdown(cli.get_string("breakdown", ""));
   const obs::RunHistory hist(cli.get_string("file", kDefaultHistory));
   hist.append(e);
@@ -204,6 +282,7 @@ int cmd_history_top(util::Cli& cli) {
   cli.describe("file", "history store path");
   cli.describe("top", "configurations to show (default 10)");
   cli.reject_unknown();
+  const auto top = static_cast<std::size_t>(get_count(cli, "top", 10));
   const obs::RunHistory hist(cli.get_string("file", kDefaultHistory));
   // Dedup first: re-runs of a (key, label) pair collapse to the latest
   // entry and the label sequence keeps first-seen order, so "previous"
@@ -235,7 +314,6 @@ int cmd_history_top(util::Cli& cli) {
   std::stable_sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
     return a.delta_pct > b.delta_pct;
   });
-  const auto top = static_cast<std::size_t>(cli.get_int("top", 10));
   if (rows.empty()) {
     std::printf("history: need at least two runs of a configuration for a "
                 "regression ranking (%zu entries in %s)\n",
@@ -430,6 +508,11 @@ int main(int argc, char** argv) {
       MGS_REQUIRE(pos.size() == 3,
                   "mgs_perf: diff needs exactly two report paths");
       return cmd_diff(pos[1], pos[2], cli);
+    }
+    if (pos[0] == "gate") {
+      MGS_REQUIRE(pos.size() == 2,
+                  "mgs_perf: gate needs exactly one report path");
+      return cmd_gate(pos[1], cli);
     }
     if (pos[0] == "trend") {
       MGS_REQUIRE(pos.size() == 1, "mgs_perf: trend takes flags only");
