@@ -1,5 +1,6 @@
 #include "mgs/chaos/chaos.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <sstream>
@@ -134,9 +135,7 @@ RunOutcome run_typed(const Scenario& s) {
   p.pipeline = s.pipeline;
   p.waves = s.waves;
   p.dtype = *core::dtype_of_v<T>;
-  p.op = Op::name() == std::string("plus") ? core::OpTag::kPlus
-         : Op::name() == std::string("max") ? core::OpTag::kMax
-                                            : core::OpTag::kMin;
+  p.op = *core::op_tag_of_v<Op>;
   const auto data = scenario_data<T>(s);
   std::vector<T> out(data.size());
   std::vector<T> ref;
@@ -342,11 +341,12 @@ Scenario parse_scenario(const std::string& line) {
   MGS_REQUIRE(s.n > 0 && s.g > 0 && s.nodes > 0,
               "chaos: scenario needs positive n/g/nodes");
   // Catch proposal-name typos at parse time, not deep inside the run.
-  const bool known = s.executor == "Scan-SP" || s.executor == "Scan-MPS" ||
-                     s.executor == "Scan-MPS-direct" ||
-                     s.executor == "Scan-MP-PC" ||
-                     s.executor == "Scan-MPS-multinode";
-  MGS_REQUIRE(known, "chaos: unknown executor '" + s.executor + "'");
+  const auto& known = core::all_executors();
+  MGS_REQUIRE(std::any_of(known.begin(), known.end(),
+                          [&](const core::ExecutorInfo& e) {
+                            return e.name == s.executor;
+                          }),
+              "chaos: unknown executor '" + s.executor + "'");
   return s;
 }
 

@@ -8,39 +8,19 @@ namespace mgs::core {
 
 namespace {
 
-using detail::FactoryTable;
-
-// The five dispatch tables -- the single place (besides the CI
-// instantiation guard) where every proposal is instantiated over the
-// whole (DType, OpTag) matrix. Built at compile time; density is
-// static_asserted so a new enumerator without a maker row is a build
-// error, not a null dispatch.
-constexpr FactoryTable kSpTable = detail::make_table<detail::SpMaker>();
-constexpr FactoryTable kMpsTable = detail::make_table<detail::MpsMaker>();
-constexpr FactoryTable kMpsDirectTable =
-    detail::make_table<detail::MpsDirectMaker>();
-constexpr FactoryTable kMppcTable = detail::make_table<detail::MppcMaker>();
-constexpr FactoryTable kMultinodeTable =
-    detail::make_table<detail::MultinodeMaker>();
-
-static_assert(detail::table_is_dense(kSpTable),
-              "Scan-SP dispatch table has unfilled (dtype, op) cells");
-static_assert(detail::table_is_dense(kMpsTable),
-              "Scan-MPS dispatch table has unfilled (dtype, op) cells");
-static_assert(detail::table_is_dense(kMpsDirectTable),
-              "Scan-MPS-direct dispatch table has unfilled (dtype, op) cells");
-static_assert(detail::table_is_dense(kMppcTable),
-              "Scan-MP-PC dispatch table has unfilled (dtype, op) cells");
-static_assert(
-    detail::table_is_dense(kMultinodeTable),
-    "Scan-MPS-multinode dispatch table has unfilled (dtype, op) cells");
+// The dispatch table -- the single place (besides the CI instantiation
+// guard) where every proposal is instantiated over the whole (DType,
+// OpTag) matrix. Built at compile time; density is static_asserted so a
+// new enumerator without a row is a build error, not a null dispatch.
+constexpr detail::FactoryTable kTable = detail::make_table();
+static_assert(detail::table_is_dense(kTable),
+              "executor dispatch table has unfilled (dtype, op) cells");
 
 /// The one runtime dispatch: (dtype, op) -> monomorphic instantiation.
-std::unique_ptr<ScanExecutor> dispatch(const FactoryTable& table,
+std::unique_ptr<ScanExecutor> dispatch(detail::ProposalKind kind,
                                        ScanContext& ctx,
-                                       const ExecutorParams& p, DType dtype,
-                                       OpTag op) {
-  return table.at(dtype, op)(ctx, p);
+                                       const ExecutorParams& p) {
+  return kTable.at(p.dtype, p.op)(kind, ctx, p);
 }
 
 }  // namespace
@@ -128,45 +108,89 @@ void ScanExecutor::finish_run(obs::ScopedSpan& span, RunResult& r) const {
 
 std::unique_ptr<ScanExecutor> make_sp_executor(ScanContext& ctx, int device_id,
                                                DType dtype, OpTag op) {
-  ExecutorParams p;
-  p.device = device_id;
-  return dispatch(kSpTable, ctx, p, dtype, op);
+  return dispatch(detail::ProposalKind::kSp, ctx,
+                  {.device = device_id, .dtype = dtype, .op = op});
 }
 
 std::unique_ptr<ScanExecutor> make_mps_executor(ScanContext& ctx, int w,
                                                 bool direct,
                                                 PipelineChoice pipe,
                                                 DType dtype, OpTag op) {
-  ExecutorParams p;
-  p.w = w;
-  p.pipeline = pipe.mode;
-  p.waves = pipe.waves;
-  return dispatch(direct ? kMpsDirectTable : kMpsTable, ctx, p, dtype, op);
+  return dispatch(direct ? detail::ProposalKind::kMpsDirect
+                         : detail::ProposalKind::kMps,
+                  ctx,
+                  {.w = w, .pipeline = pipe.mode, .waves = pipe.waves,
+                   .dtype = dtype, .op = op});
 }
 
 std::unique_ptr<ScanExecutor> make_mppc_executor(ScanContext& ctx, int y,
                                                  int v, int m,
                                                  PipelineChoice pipe,
                                                  DType dtype, OpTag op) {
-  ExecutorParams p;
-  p.y = y;
-  p.v = v;
-  p.m = m;
-  p.pipeline = pipe.mode;
-  p.waves = pipe.waves;
-  return dispatch(kMppcTable, ctx, p, dtype, op);
+  return dispatch(detail::ProposalKind::kMppc, ctx,
+                  {.y = y, .v = v, .m = m, .pipeline = pipe.mode,
+                   .waves = pipe.waves, .dtype = dtype, .op = op});
 }
 
 std::unique_ptr<ScanExecutor> make_multinode_executor(ScanContext& ctx, int m,
                                                       int w,
                                                       PipelineChoice pipe,
                                                       DType dtype, OpTag op) {
-  ExecutorParams p;
-  p.m = m;
-  p.w = w;
-  p.pipeline = pipe.mode;
-  p.waves = pipe.waves;
-  return dispatch(kMultinodeTable, ctx, p, dtype, op);
+  return dispatch(detail::ProposalKind::kMultinode, ctx,
+                  {.w = w, .m = m, .pipeline = pipe.mode, .waves = pipe.waves,
+                   .dtype = dtype, .op = op});
+}
+
+// ------------------------------------------------------------ the registry
+
+const std::vector<ExecutorInfo>& all_executors() {
+  static const std::vector<ExecutorInfo> kExecutors = [] {
+    static constexpr const char* kSummaries[detail::kNumProposals] = {
+        "single-GPU three-kernel pipeline (Section 3)",
+        "problem scattering across one node's GPUs (Section 4.1)",
+        "MPS with UVA peer writes into the master's auxiliary array",
+        "per-PCIe-network groups with prioritized communications "
+        "(Section 4.1.1)",
+        "MPS across nodes with one MPI rank per GPU (Section 4.1)"};
+    std::vector<ExecutorInfo> v;
+    for (int k = 0; k < detail::kNumProposals; ++k) {
+      const auto kind = static_cast<detail::ProposalKind>(k);
+      v.push_back({detail::kProposalNames[k], kSummaries[k],
+                   [kind](ScanContext& ctx, const ExecutorParams& p) {
+                     return dispatch(kind, ctx, p);
+                   }});
+    }
+    return v;
+  }();
+  return kExecutors;
+}
+
+std::unique_ptr<ScanExecutor> make_executor(const std::string& name,
+                                            ScanContext& ctx,
+                                            const ExecutorParams& params) {
+  return dispatch(detail::proposal_of(name), ctx, params);
+}
+
+std::unique_ptr<ScanExecutor> make_executor(ScanContext& ctx,
+                                            const PlannerChoice& choice) {
+  const ExecutorParams p{.w = choice.w,
+                         .y = choice.y,
+                         .v = choice.v,
+                         .m = choice.m,
+                         .dtype = choice.dtype,
+                         .op = choice.op};
+  switch (choice.proposal) {
+    case Proposal::kSingleGpu:
+      return dispatch(detail::ProposalKind::kSp, ctx, p);
+    case Proposal::kMps:
+      return dispatch(detail::ProposalKind::kMps, ctx, p);
+    case Proposal::kMppc:
+      return dispatch(detail::ProposalKind::kMppc, ctx, p);
+    case Proposal::kMultiNode:
+      return dispatch(detail::ProposalKind::kMultinode, ctx, p);
+  }
+  MGS_REQUIRE(false, "unhandled planner proposal");
+  return nullptr;
 }
 
 }  // namespace mgs::core

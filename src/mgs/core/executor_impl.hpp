@@ -1,17 +1,18 @@
 #pragma once
 /// \file executor_impl.hpp
-/// The templated side of the erasure boundary: TypedScanExecutor<T, Op>
-/// and the five proposal executors as templates over (element type,
-/// operator), plus the dispatch-table machinery that maps a runtime
-/// (DType, OpTag) pair to one instantiation.
+/// The templated side of the erasure boundary: TypedScanExecutor<T, Op>,
+/// which owns the executor protocol (prepare, run, mid-run recovery),
+/// the five proposals as templates over (element type, operator) that
+/// supply only their placement, leases and attempt body, and the one
+/// (proposal, T, Op, params) -> constructor mapping behind every factory.
 ///
 /// Most code includes executor.hpp only and never sees this header; it
 /// exists for the two TUs that must instantiate the matrix (executor.cpp
-/// builds the factory tables; the CI instantiation guard instantiates all
+/// builds the factory table; the CI instantiation guard instantiates all
 /// of it explicitly) and for typed wrappers such as SegmentedScan, which
 /// needs a TypedScanExecutor over SegPair elements -- a type that has no
-/// erased carrier and therefore can never come out of the tables.
-/// Keeping the table *variables* out of this header keeps ordinary TUs
+/// erased carrier and therefore can never come out of the table.
+/// Keeping the table *variable* out of this header keeps ordinary TUs
 /// from paying the 5 proposals x 5 dtypes x 3 ops instantiation cost.
 
 #include <algorithm>
@@ -31,41 +32,22 @@
 
 namespace mgs::core {
 
-/// Intermediate base fixing the element type and operator of an executor.
-/// The erased run() unwraps the TypedSpans (checking the dtype once) and
-/// forwards to run_typed(); for element types outside the DType matrix
-/// (SegPair on the internal segmented path) the erased entry point is
-/// compiled to a hard error path, and only run_typed() is usable.
-template <typename T, typename Op>
-class TypedScanExecutor : public ScanExecutor {
- public:
-  TypedScanExecutor() {
-    dtype_ = PlanTypeOf<T>::dtype;
-    op_ = op_tag_of_v<Op>.value_or(OpTag::kPlus);
-    segmented_ = PlanTypeOf<T>::segmented;
-  }
-
-  using ScanExecutor::run;  // keep the typed std::span overloads visible
-
-  RunResult run(ConstTypedSpan in, TypedSpan out, ScanKind kind) final {
-    if constexpr (dtype_of_v<T>.has_value()) {
-      return run_typed(in.template as<T>(), out.template as<T>(), kind);
-    } else {
-      MGS_REQUIRE(false,
-                  "ScanExecutor: this instantiation's element type has no "
-                  "erased carrier (packed segmented elements); call "
-                  "run_typed() on the TypedScanExecutor instead");
-      return {};
-    }
-  }
-
-  /// The monomorphic entry point: same contract as the erased run(), with
-  /// the types recovered.
-  virtual RunResult run_typed(std::span<const T> in, std::span<T> out,
-                              ScanKind kind) = 0;
-};
-
 namespace detail {
+
+/// The five proposals in the registry's presentation order; the index
+/// into all_executors() and kProposalNames.
+enum class ProposalKind { kSp, kMps, kMpsDirect, kMppc, kMultinode };
+inline constexpr int kNumProposals = 5;
+inline constexpr const char* kProposalNames[kNumProposals] = {
+    "Scan-SP", "Scan-MPS", "Scan-MPS-direct", "Scan-MP-PC",
+    "Scan-MPS-multinode"};
+
+inline ProposalKind proposal_of(const std::string& name) {
+  for (int k = 0; k < kNumProposals; ++k) {
+    if (name == kProposalNames[k]) return static_cast<ProposalKind>(k);
+  }
+  throw util::Error("unknown executor: " + name);
+}
 
 /// The first `count` GPUs of `node` in global-id order (network-major,
 /// the same fill order the figure harnesses use).
@@ -89,18 +71,6 @@ inline bool is_down(const ScanContext& ctx, int dev) {
 
 inline int cluster_alive_count(const ScanContext& ctx) {
   return static_cast<int>(ctx.cluster().alive_devices().size());
-}
-
-/// Latest instant any of `gpus` has reached on either engine -- the
-/// cluster-wide "now" a mid-run failure is diagnosed at.
-inline double cluster_front(topo::Cluster& cluster,
-                            const std::vector<int>& gpus) {
-  double t = 0.0;
-  for (int d : gpus) {
-    t = std::max(t, cluster.device(d).clock().now());
-    t = std::max(t, cluster.device(d).dma_clock().now());
-  }
-  return t;
 }
 
 /// Decide which endpoint of a failed mid-run transfer is lost and mark it
@@ -137,78 +107,55 @@ inline void merge_mid_run_losses(sim::FaultReport& f,
       f.excluded_devices.push_back(d);
     }
   }
-  std::string step = executor + ": lost device";
-  for (int d : lost) step += " " + std::to_string(d);
+  std::ostringstream step;
+  step << executor << ": lost device";
+  for (int d : lost) step << ' ' << d;
   if (!f.resumed_stages.empty()) {
-    step += " mid-run, resumed from ";
+    step << " mid-run, resumed from ";
     for (std::size_t i = 0; i < f.resumed_stages.size(); ++i) {
-      if (i != 0) step += "+";
-      step += f.resumed_stages[i];
+      if (i != 0) step << '+';
+      step << f.resumed_stages[i];
     }
   } else {
-    step += " mid-run (restarted on survivors)";
+    step << " mid-run (restarted on survivors)";
   }
-  f.replanned.push_back(step);
-  if (f.degraded_mode.empty()) f.degraded_mode = step;
+  f.replanned.push_back(step.str());
+  if (f.degraded_mode.empty()) f.degraded_mode = f.replanned.back();
 }
 
-/// Last-resort placement shared by the multi-GPU executors: when a
-/// degraded placement shrinks to a single surviving device, the run
-/// collapses to Scan-SP on that device (the paper's single-GPU proposal --
-/// no inter-GPU traffic to fail).
+}  // namespace detail
+
+/// The executor protocol, written once for every proposal and fixed to
+/// one element type and operator. A proposal supplies only what differs:
+///  - place(): which devices the run uses, or a collapse onto one device
+///    (the paper's Scan-SP, which is also Scan-SP's own placement);
+///  - lease_staging(): its per-device staging leases (via lease());
+///  - run_attempt(): one attempt -- scatter, scan, gather;
+///  - optionally resume(): an in-place recovery step (Scan-MPS's
+///    checkpoint) instead of a restart.
+/// The base owns prepare validation and the liveness-epoch early return,
+/// describe(), the Scan-SP body, the run's trace and fault report, and
+/// the one recovery loop.
+///
+/// The erased run() unwraps the TypedSpans (checking the dtype once) and
+/// forwards to run_typed(); for element types outside the DType matrix
+/// (SegPair on the internal segmented path) the erased entry point is
+/// compiled to a hard error path, and only run_typed() is usable.
 template <typename T, typename Op>
-struct SpFallbackT {
-  using Handle = typename WorkspacePool::Handle<T>;
-
-  int device = -1;
-  Handle in;
-  Handle out;
-
-  void prepare(ScanContext& ctx, int dev, std::int64_t elems) {
-    device = dev;
-    simt::Device& d = ctx.cluster().device(dev);
-    in = ctx.workspace().template acquire<T>(d, elems);
-    out = ctx.workspace().template acquire<T>(d, elems);
-  }
-
-  RunResult run(ScanContext& ctx, const ScanPlan& plan, std::span<const T> src,
-                std::span<T> dst, std::int64_t n, std::int64_t g,
-                ScanKind kind) {
-    ctx.cluster().reset_clocks();
-    std::copy(src.begin(), src.begin() + static_cast<std::ptrdiff_t>(n * g),
-              in.host_span().begin());
-    RunResult r = scan_sp<T, Op>(ctx.cluster().device(device), in.buffer(),
-                                 out.buffer(), n, g, plan, kind, Op{},
-                                 &ctx.workspace());
-    const auto produced = out.host_span();
-    std::copy(produced.begin(),
-              produced.begin() + static_cast<std::ptrdiff_t>(n * g),
-              dst.begin());
-    return r;
-  }
-};
-
-// ---------------------------------------------------------------- Scan-SP
-
-template <typename T, typename Op>
-class SpExecutorT final : public TypedScanExecutor<T, Op> {
+class TypedScanExecutor : public ScanExecutor {
  public:
-  using Base = TypedScanExecutor<T, Op>;
-  using Handle = typename WorkspacePool::Handle<T>;
+  using ScanExecutor::run;  // keep the typed std::span overloads visible
 
-  SpExecutorT(ScanContext& ctx, int device_id)
-      : ctx_(&ctx), requested_(device_id), device_id_(device_id) {
-    MGS_REQUIRE(device_id >= 0 && device_id < ctx.cluster().num_devices(),
-                "Scan-SP executor: device id out of range");
+  std::string name() const final {
+    return detail::kProposalNames[static_cast<int>(kind_)];
   }
 
-  std::string name() const override { return "Scan-SP"; }
-
-  std::string describe() const override {
+  std::string describe() const final {
     std::ostringstream os;
-    os << "Scan-SP on device " << device_id_ << this->type_suffix();
-    if (plan_ != nullptr) {
-      os << "; n=" << n_ << " g=" << g_ << "; " << plan_->describe();
+    os << placement() << this->type_suffix();
+    if (plan_.has_value()) {
+      os << plan_note() << "; n=" << n_ << " g=" << g_ << "; "
+         << plan_->describe();
     }
     if (prep_report_.degraded) {
       os << " [degraded: " << prep_report_.degraded_mode << "]";
@@ -216,66 +163,259 @@ class SpExecutorT final : public TypedScanExecutor<T, Op> {
     return os.str();
   }
 
-  void prepare(std::int64_t n, std::int64_t g) override {
-    MGS_REQUIRE(n > 0 && g > 0, "Scan-SP executor: N and G must be positive");
+  void prepare(std::int64_t n, std::int64_t g) final {
+    MGS_REQUIRE(n > 0 && g > 0,
+                name() + " executor: N and G must be positive");
     const std::uint64_t epoch = ctx_->fault_epoch();
     if (n == n_ && g == g_ && epoch == fault_epoch_) return;
     prep_report_ = {};
-    device_id_ = requested_;
-    if (is_down(*ctx_, device_id_)) {
-      const auto alive = ctx_->cluster().alive_devices();
-      MGS_REQUIRE(!alive.empty(), "Scan-SP executor: no surviving device");
-      device_id_ = alive.front();
-      prep_report_.degraded = true;
-      prep_report_.degraded_mode =
-          "Scan-SP on device " + std::to_string(device_id_);
-      prep_report_.excluded_devices.push_back(requested_);
-      prep_report_.replanned.push_back(
-          "Scan-SP: device " + std::to_string(requested_) + " -> " +
-          std::to_string(device_id_));
+    const Placement at = place(n, g);
+    solo_ = at.solo;
+    ins_.clear();
+    outs_.clear();
+    if (solo_ >= 0) {
+      plan_ = ctx_->plan_for(this->plan_key(*ctx_, n, g, 1));
+      lease(solo_, n * g);
+    } else {
+      plan_ = apply_pipeline_choice(
+          ctx_->plan_for(this->plan_key(*ctx_, n, g, at.width)), pipe_);
+      lease_staging(n, g);
     }
-    plan_ = &ctx_->plan_for(this->plan_key(*ctx_, n, g, 1));
-    simt::Device& dev = ctx_->cluster().device(device_id_);
-    in_ = ctx_->workspace().template acquire<T>(dev, n * g);
-    out_ = ctx_->workspace().template acquire<T>(dev, n * g);
     n_ = n;
     g_ = g;
     fault_epoch_ = epoch;
   }
 
+  RunResult run(ConstTypedSpan in, TypedSpan out, ScanKind kind) final {
+    if constexpr (dtype_of_v<T>.has_value()) {
+      return run_typed(in.template as<T>(), out.template as<T>(), kind);
+    } else {
+      MGS_REQUIRE(false,
+                  "ScanExecutor: this instantiation's element type has no "
+                  "erased carrier (packed segmented elements); call "
+                  "run_typed() on the TypedScanExecutor instead");
+      return {};
+    }
+  }
+
+  /// The monomorphic entry point: same contract as the erased run(), with
+  /// the types recovered.
   RunResult run_typed(std::span<const T> in, std::span<T> out,
-                      ScanKind kind) override {
+                      ScanKind kind) {
     this->require_ready(static_cast<std::int64_t>(in.size()),
                         static_cast<std::int64_t>(out.size()));
     prepare(n_, g_);  // re-place if device liveness changed since prepare()
     obs::ScopedSpan run_span = this->trace_run();
-    ctx_->cluster().reset_clocks();
-    std::copy(in.begin(), in.begin() + static_cast<std::ptrdiff_t>(n_ * g_),
-              in_.host_span().begin());
-    RunResult r =
-        scan_sp<T, Op>(ctx_->cluster().device(device_id_), in_.buffer(),
-                       out_.buffer(), n_, g_, *plan_, kind, Op{},
-                       &ctx_->workspace());
-    const auto src = out_.host_span();
-    std::copy(src.begin(), src.begin() + static_cast<std::ptrdiff_t>(n_ * g_),
-              out.begin());
+    std::vector<int> lost;
+    RunResult r = run_recovering(in, out, kind, lost);
     this->stamp_report(r);
+    if (!lost.empty()) detail::merge_mid_run_losses(r.faults, name(), lost);
     this->finish_run(run_span, r);
     return r;
   }
 
- private:
-  using Base::fault_epoch_;
-  using Base::g_;
-  using Base::n_;
-  using Base::prep_report_;
+ protected:
+  using Handle = typename WorkspacePool::Handle<T>;
+
+  /// Where prepare() put the run: `width` GPUs per problem (the plan
+  /// key), or -- when `solo` >= 0 -- Scan-SP on that one device.
+  struct Placement {
+    int width = 1;
+    int solo = -1;
+  };
+
+  TypedScanExecutor(ScanContext& ctx, detail::ProposalKind kind,
+                    PipelineChoice pipe = {})
+      : ctx_(&ctx), pipe_(pipe), kind_(kind) {
+    dtype_ = PlanTypeOf<T>::dtype;
+    op_ = op_tag_of_v<Op>.value_or(OpTag::kPlus);
+    segmented_ = PlanTypeOf<T>::segmented;
+  }
+
+  /// Choose the devices for n x g on the current liveness, recording any
+  /// degradation in prep_report_ (reset beforehand). Throws util::Error
+  /// for shapes the proposal cannot place.
+  virtual Placement place(std::int64_t n, std::int64_t g) = 0;
+  /// Lease the multi-GPU placement's staging, in attempt order.
+  virtual void lease_staging(std::int64_t /*n*/, std::int64_t /*g*/) {}
+  /// describe() head: proposal and devices.
+  virtual std::string placement() const = 0;
+  /// describe() text between the type suffix and the shape.
+  virtual std::string plan_note() const { return {}; }
+  /// One attempt over the multi-GPU placement: scatter `in` into the
+  /// staging (skipped when `resumed`: the recovery step restaged what it
+  /// moved), scan, gather into `out`. Scan-SP keeps this default.
+  virtual RunResult run_attempt(std::span<const T> in, std::span<T> out,
+                                ScanKind kind, bool /*resumed*/) {
+    return run_sp(in, out, kind);
+  }
+  /// Recovery step after `dead` was lost at `now`: true when the proposal
+  /// continued in place (the next attempt resumes), false to restart on
+  /// the survivors. Called inside the failed attempt's catch handler, so
+  /// a bare `throw;` rethrows a failure that cannot be survived.
+  virtual bool resume(int /*dead*/, double /*now*/,
+                      std::span<const T> /*in*/) {
+    return false;
+  }
+  /// Endpoint a link death is never blamed on (-1: no master).
+  virtual int master() const { return staging_device(0); }
+  /// Recoveries allowed per run before a failure propagates.
+  virtual int recovery_limit() const {
+    return ctx_->cluster().num_devices();
+  }
+
+  /// Lease one input and one output staging buffer of `elems` on `dev`.
+  void lease(int dev, std::int64_t elems) {
+    simt::Device& d = ctx_->cluster().device(dev);
+    ins_.push_back(ctx_->workspace().template acquire<T>(d, elems));
+    outs_.push_back(ctx_->workspace().template acquire<T>(d, elems));
+  }
+  /// Device of staging lease `i` (for multi-node Scan-MPS, of rank `i`).
+  int staging_device(std::size_t i) const {
+    return ins_.at(i).buffer().device_id();
+  }
+  /// Batch views of staging leases [first, first + count).
+  std::vector<GpuBatch<T>> staged(std::size_t first, std::size_t count) {
+    std::vector<GpuBatch<T>> b;
+    for (std::size_t i = first; i < first + count; ++i) {
+      b.push_back(GpuBatch<T>{ins_[i].buffer(), outs_[i].buffer()});
+    }
+    return b;
+  }
 
   ScanContext* ctx_;
+  PipelineChoice pipe_;
+  std::optional<ScanPlan> plan_;
+  std::vector<Handle> ins_;  ///< staging, one pair per placed device
+  std::vector<Handle> outs_;
+
+ private:
+  RunResult run_sp(std::span<const T> in, std::span<T> out, ScanKind kind) {
+    const auto count = static_cast<std::ptrdiff_t>(n_ * g_);
+    std::copy(in.begin(), in.begin() + count, ins_[0].host_span().begin());
+    RunResult r = scan_sp<T, Op>(ctx_->cluster().device(solo_),
+                                 ins_[0].buffer(), outs_[0].buffer(), n_, g_,
+                                 *plan_, kind, Op{}, &ctx_->workspace());
+    const auto produced = outs_[0].host_span();
+    std::copy(produced.begin(), produced.begin() + count, out.begin());
+    return r;
+  }
+
+  /// Latest instant any staging device has reached on either engine --
+  /// the cluster-wide "now" a mid-run failure is diagnosed at.
+  double cluster_front() {
+    double t = 0.0;
+    for (const Handle& h : ins_) {
+      const simt::Device& d = ctx_->cluster().device(h.buffer().device_id());
+      t = std::max({t, d.clock().now(), d.dma_clock().now()});
+    }
+    return t;
+  }
+
+  /// Run attempts until one completes. A CommError names its failed rank;
+  /// a TransferError is blamed on an endpoint. Either way the device is
+  /// marked down; then the proposal resumes in place, or the loop notes a
+  /// restart and the next attempt re-places on the survivors.
+  RunResult run_recovering(std::span<const T> in, std::span<T> out,
+                           ScanKind kind, std::vector<int>& lost) {
+    sim::FaultInjector* fi = ctx_->cluster().fault_injector();
+    bool resumed = false;
+    for (int tries = 0;; ++tries) {
+      if (!resumed) {
+        prepare(n_, g_);  // re-places when a restart moved the epoch
+        ctx_->cluster().reset_clocks();
+      }
+      try {
+        return solo_ >= 0 ? run_sp(in, out, kind)
+                          : run_attempt(in, out, kind, resumed);
+      } catch (const msg::CommError& e) {
+        if (fi == nullptr || tries >= recovery_limit()) throw;
+        const int dead =
+            staging_device(static_cast<std::size_t>(e.failed_rank));
+        if (!fi->device_is_down(dead)) fi->mark_device_down(dead);
+        resumed = recover(dead, e.failed_rank, cluster_front(), in, lost);
+      } catch (const topo::TransferError& e) {
+        if (fi == nullptr || tries >= recovery_limit()) throw;
+        const double now = cluster_front();
+        const int dead =
+            detail::blame_endpoint(*fi, e.src_dev, e.dst_dev, master(), now);
+        if (dead < 0) throw;
+        resumed = recover(dead, -1, now, in, lost);
+      }
+    }
+  }
+
+  /// After `dead` was marked down: the proposal's resume step, else a
+  /// noted restart. Returns whether the next attempt resumes.
+  bool recover(int dead, int rank, double now, std::span<const T> in,
+               std::vector<int>& lost) {
+    const bool resumed = resume(dead, now, in);
+    lost.push_back(dead);
+    if (resumed) return true;
+    if (rank >= 0) {
+      obs::note_fault("restart",
+                      {{"executor", name()},
+                       {"rank", std::to_string(rank)},
+                       {"dead", std::to_string(dead)}},
+                      now, dead);
+    } else {
+      obs::note_fault("restart",
+                      {{"executor", name()}, {"dead", std::to_string(dead)}},
+                      now, dead);
+    }
+    return false;
+  }
+
+  detail::ProposalKind kind_;
+  int solo_ = -1;  ///< device of a Scan-SP placement; -1 = multi-GPU
+};
+
+namespace detail {
+
+// ---------------------------------------------------------------- Scan-SP
+
+template <typename T, typename Op>
+class SpExecutorT final : public TypedScanExecutor<T, Op> {
+ public:
+  using Base = TypedScanExecutor<T, Op>;
+
+  SpExecutorT(ScanContext& ctx, int device_id)
+      : Base(ctx, ProposalKind::kSp), requested_(device_id),
+        device_(device_id) {
+    MGS_REQUIRE(device_id >= 0 && device_id < ctx.cluster().num_devices(),
+                "Scan-SP executor: device id out of range");
+  }
+
+ private:
+  using Base::ctx_;
+  using Base::prep_report_;
+  using typename Base::Placement;
+
+  /// Placement: the requested device, or the first survivor when it is
+  /// down.
+  Placement place(std::int64_t, std::int64_t) override {
+    device_ = requested_;
+    if (is_down(*ctx_, device_)) {
+      const auto alive = ctx_->cluster().alive_devices();
+      MGS_REQUIRE(!alive.empty(), "Scan-SP executor: no surviving device");
+      device_ = alive.front();
+      prep_report_.degraded = true;
+      prep_report_.degraded_mode =
+          "Scan-SP on device " + std::to_string(device_);
+      prep_report_.excluded_devices.push_back(requested_);
+      prep_report_.replanned.push_back(
+          "Scan-SP: device " + std::to_string(requested_) + " -> " +
+          std::to_string(device_));
+    }
+    return {1, device_};
+  }
+
+  std::string placement() const override {
+    return "Scan-SP on device " + std::to_string(device_);
+  }
+
   int requested_;
-  int device_id_;
-  const ScanPlan* plan_ = nullptr;
-  Handle in_;
-  Handle out_;
+  int device_;
 };
 
 // --------------------------------------------------- Scan-MPS (+ direct)
@@ -284,10 +424,11 @@ template <typename T, typename Op>
 class MpsExecutorT final : public TypedScanExecutor<T, Op> {
  public:
   using Base = TypedScanExecutor<T, Op>;
-  using Handle = typename WorkspacePool::Handle<T>;
 
   MpsExecutorT(ScanContext& ctx, int w, bool direct, PipelineChoice pipe)
-      : ctx_(&ctx), direct_(direct), pipe_(pipe) {
+      : Base(ctx, direct ? ProposalKind::kMpsDirect : ProposalKind::kMps,
+             pipe),
+        direct_(direct) {
     const auto& cfg = ctx.cluster().config();
     w_req_ = (w > 0) ? w
                      : (direct ? cfg.gpus_per_network : cfg.gpus_per_node());
@@ -295,124 +436,111 @@ class MpsExecutorT final : public TypedScanExecutor<T, Op> {
     w_ = w_req_;
   }
 
-  std::string name() const override {
-    return direct_ ? "Scan-MPS-direct" : "Scan-MPS";
+ private:
+  using Base::ctx_;
+  using Base::g_;
+  using Base::ins_;
+  using Base::n_;
+  using Base::outs_;
+  using Base::plan_;
+  using Base::prep_report_;
+  using typename Base::Placement;
+
+  /// Placement: the requested W GPUs of node 0 when all are alive; the
+  /// largest surviving prefix whose size divides N otherwise (direct mode
+  /// additionally keeps only GPUs sharing the new master's PCIe network,
+  /// since peer writes need P2P reach).
+  Placement place(std::int64_t n, std::int64_t) override {
+    const auto all = node_gpus(ctx_->cluster(), 0, w_req_);
+    std::vector<int> alive;
+    std::vector<int> dead;
+    for (int id : all) (is_down(*ctx_, id) ? dead : alive).push_back(id);
+    MGS_REQUIRE(!alive.empty(),
+                "Scan-MPS executor: no surviving GPU on node 0");
+    if (dead.empty()) {
+      gpus_ = all;
+      w_ = w_req_;
+      MGS_REQUIRE(n % w_ == 0, "Scan-MPS executor: N must be divisible by W");
+      return {w_, -1};
+    }
+    if (direct_) {
+      const int master = alive.front();
+      std::vector<int> same;
+      for (int id : alive) {
+        const auto link = ctx_->cluster().link_between(master, id);
+        if (link == topo::LinkType::kSelf || link == topo::LinkType::kP2P) {
+          same.push_back(id);
+        }
+      }
+      alive = std::move(same);
+    }
+    int w2 = static_cast<int>(alive.size());
+    while (w2 > 1 && n % w2 != 0) --w2;
+    gpus_.assign(alive.begin(), alive.begin() + w2);
+    w_ = w2;
+    const bool solo = (w2 == 1);
+    prep_report_.degraded = true;
+    prep_report_.excluded_devices = dead;
+    prep_report_.invalidated_plans +=
+        ctx_->invalidate_plans(cluster_alive_count(*ctx_));
+    prep_report_.degraded_mode =
+        solo ? ("Scan-SP on device " + std::to_string(gpus_.front()))
+             : (this->name() + " W=" + std::to_string(w_));
+    prep_report_.replanned.push_back(this->name() + ": W=" +
+                                     std::to_string(w_req_) + " -> " +
+                                     std::to_string(w_));
+    return solo ? Placement{1, gpus_.front()} : Placement{w_, -1};
   }
 
-  std::string describe() const override {
+  void lease_staging(std::int64_t n, std::int64_t g) override {
+    for (int id : gpus_) this->lease(id, (n / w_) * g);
+  }
+
+  std::string placement() const override {
     std::ostringstream os;
-    os << name() << " over " << w_ << " GPUs of node 0 (master "
-       << gpus_.front() << ")" << this->type_suffix();
-    if (plan_.has_value()) {
-      os << "; n=" << n_ << " g=" << g_ << "; " << plan_->describe();
-    }
-    if (prep_report_.degraded) {
-      os << " [degraded: " << prep_report_.degraded_mode << "]";
-    }
+    os << this->name() << " over " << w_ << " GPUs of node 0 (master "
+       << gpus_.front() << ")";
     return os.str();
   }
 
-  void prepare(std::int64_t n, std::int64_t g) override {
-    MGS_REQUIRE(n > 0 && g > 0, "Scan-MPS executor: N and G must be positive");
-    const std::uint64_t epoch = ctx_->fault_epoch();
-    if (n == n_ && g == g_ && epoch == fault_epoch_) return;
-    place(n);
-    if (use_sp_) {
-      plan_ = ctx_->plan_for(this->plan_key(*ctx_, n, g, 1));
-      sp_.prepare(*ctx_, gpus_.front(), n * g);
-      ins_.clear();
-      outs_.clear();
-    } else {
-      MGS_REQUIRE(n % w_ == 0, "Scan-MPS executor: N must be divisible by W");
-      plan_ = apply_pipeline_choice(
-          ctx_->plan_for(this->plan_key(*ctx_, n, g, w_)), pipe_);
-      const std::int64_t per_gpu = (n / w_) * g;
-      ins_.clear();
-      outs_.clear();
-      for (int id : gpus_) {
-        simt::Device& dev = ctx_->cluster().device(id);
-        ins_.push_back(ctx_->workspace().template acquire<T>(dev, per_gpu));
-        outs_.push_back(ctx_->workspace().template acquire<T>(dev, per_gpu));
-      }
+  RunResult run_attempt(std::span<const T> in, std::span<T> out,
+                        ScanKind kind, bool resumed) override {
+    if (!resumed) {
+      ck_ = {};
+      batches_ = this->staged(0, ins_.size());
+      scatter_batch<T>(in, batches_, n_, g_);
     }
-    n_ = n;
-    g_ = g;
-    fault_epoch_ = epoch;
-  }
-
-  RunResult run_typed(std::span<const T> in, std::span<T> out,
-                      ScanKind kind) override {
-    this->require_ready(static_cast<std::int64_t>(in.size()),
-                        static_cast<std::int64_t>(out.size()));
-    prepare(n_, g_);
-    obs::ScopedSpan run_span = this->trace_run();
-    if (use_sp_) {
-      RunResult r = sp_.run(*ctx_, *plan_, in, out, n_, g_, kind);
-      this->stamp_report(r);
-      this->finish_run(run_span, r);
-      return r;
-    }
-    std::vector<int> lost;
-    RunResult r = direct_ ? run_direct_restarting(in, out, kind, lost)
-                          : run_mps_resuming(in, out, kind, lost);
-    this->stamp_report(r);
-    if (!lost.empty()) merge_mid_run_losses(r.faults, name(), lost);
-    this->finish_run(run_span, r);
+    RunResult r =
+        direct_ ? scan_mps_direct<T, Op>(ctx_->cluster(), gpus_, batches_, n_,
+                                         g_, *plan_, kind, Op{},
+                                         &ctx_->workspace())
+                : scan_mps<T, Op>(ctx_->cluster(), gpus_, batches_, n_, g_,
+                                  *plan_, kind, Op{}, &ctx_->workspace(),
+                                  &ck_);
+    gather_batch<T>(batches_, n_, g_, out);
+    ck_ = {};  // return the checkpoint's leases to the pool
+    batches_.clear();
     return r;
   }
 
- private:
-  using Base::fault_epoch_;
-  using Base::g_;
-  using Base::n_;
-  using Base::prep_report_;
-
-  /// Non-direct Scan-MPS with stage-granular mid-run recovery: the scan
-  /// records per-stage progress in a checkpoint; a device/link death
-  /// unwinds to here, the dead device's portions remap onto the
-  /// least-loaded survivors (logical W and the chunk layout stay fixed, so
-  /// Stage 2 still applies the operator in ascending portion order and
-  /// results stay bit-identical to the healthy run), the lost portions'
-  /// inputs restage from the host, and the scan re-enters to continue from
-  /// the last completed stage boundary instead of restarting.
-  RunResult run_mps_resuming(std::span<const T> in, std::span<T> out,
-                             ScanKind kind, std::vector<int>& lost) {
-    ctx_->cluster().reset_clocks();
-    std::vector<GpuBatch<T>> batches;
-    for (std::size_t d = 0; d < gpus_.size(); ++d) {
-      batches.push_back(GpuBatch<T>{ins_[d].buffer(), outs_[d].buffer()});
-    }
-    scatter_batch<T>(in, batches, n_, g_);
-    sim::FaultInjector* fi = ctx_->cluster().fault_injector();
-    MpsCheckpoint<T> ck;
-    for (int attempt = 0;; ++attempt) {
-      try {
-        RunResult r =
-            scan_mps<T, Op>(ctx_->cluster(), gpus_, batches, n_, g_, *plan_,
-                            kind, Op{}, &ctx_->workspace(), &ck);
-        gather_batch<T>(batches, n_, g_, out);
-        return r;
-      } catch (const topo::TransferError& e) {
-        // One recovery per device that can still die; anything past that
-        // is unsurvivable -- propagate.
-        if (fi == nullptr || attempt >= w_req_) throw;
-        resume_after_fault(e, in, batches, ck, *fi, lost);
-      }
-    }
+  /// One recovery per device that can still die.
+  int recovery_limit() const override {
+    return direct_ ? Base::recovery_limit() : w_req_;
   }
 
-  /// Remap a dead device's portions, restage their inputs, and regress
-  /// exactly the checkpoint flags whose backing buffers died. Rethrows the
-  /// active exception when the failure cannot be attributed or survived.
-  void resume_after_fault(const topo::TransferError& e, std::span<const T> in,
-                          std::vector<GpuBatch<T>>& batches,
-                          MpsCheckpoint<T>& ck, sim::FaultInjector& fi,
-                          std::vector<int>& lost) {
+  /// Non-direct Scan-MPS recovers stage-granularly: the scan records
+  /// per-stage progress in the checkpoint; the dead device's portions
+  /// remap onto the least-loaded survivors (logical W and the chunk
+  /// layout stay fixed, so Stage 2 still applies the operator in
+  /// ascending portion order and results stay bit-identical to the
+  /// healthy run), the lost portions' inputs restage from the host, and
+  /// exactly the checkpoint flags whose backing buffers died regress. The
+  /// next attempt continues from the last completed stage boundary.
+  /// Scan-MPS-direct restarts instead: UVA peer writes leave no
+  /// checkpointable intermediate on the master mid-kernel.
+  bool resume(int dead, double now, std::span<const T> in) override {
+    if (direct_) return false;
     topo::Cluster& cluster = ctx_->cluster();
-    const double now = cluster_front(cluster, gpus_);
-    const int old_master = gpus_.front();
-    const int dead = blame_endpoint(fi, e.src_dev, e.dst_dev, old_master, now);
-    if (dead < 0) throw;
     std::vector<int> portions;
     for (int i = 0; i < w_; ++i) {
       if (gpus_[static_cast<std::size_t>(i)] == dead) portions.push_back(i);
@@ -420,14 +548,15 @@ class MpsExecutorT final : public TypedScanExecutor<T, Op> {
     if (portions.empty()) throw;  // not a participant; cannot route around
     std::vector<int> pool;
     for (int id : node_gpus(cluster, 0, w_req_)) {
-      if (!fi.device_is_down(id)) pool.push_back(id);
+      if (!is_down(*ctx_, id)) pool.push_back(id);
     }
     if (pool.empty()) throw;  // no survivor to resume onto
-    const bool master_died = (old_master == dead);
+    const bool master_died = (gpus_.front() == dead);
 
     const std::int64_t n_local = n_ / w_;
     const std::int64_t per_gpu = n_local * g_;
     const BatchLayout lay = make_layout(n_local, g_, plan_->s13);
+    MpsCheckpoint<T>& ck = ck_;
 
     // A dead master takes the gathered aux matrix and the Stage-2 output
     // with it: everything master-resident regresses, while the survivors'
@@ -459,7 +588,7 @@ class MpsExecutorT final : public TypedScanExecutor<T, Op> {
       simt::Device& dev = cluster.device(repl);
       ins_[ii] = ctx_->workspace().template acquire<T>(dev, per_gpu);
       outs_[ii] = ctx_->workspace().template acquire<T>(dev, per_gpu);
-      batches[ii] = GpuBatch<T>{ins_[ii].buffer(), outs_[ii].buffer()};
+      batches_[ii] = GpuBatch<T>{ins_[ii].buffer(), outs_[ii].buffer()};
       // Refill this portion's input from the host (same layout as
       // scatter_batch) and charge the H2D restage to the replacement's
       // clock -- lost time is real time.
@@ -521,107 +650,21 @@ class MpsExecutorT final : public TypedScanExecutor<T, Op> {
       ck.last_boundary = t_resume;
     }
     obs::note_fault("resume",
-                    {{"executor", name()},
+                    {{"executor", this->name()},
                      {"dead", std::to_string(dead)},
                      {"boundary", boundary},
                      {"portions", std::to_string(portions.size())},
                      {"master", master_died ? "replaced" : "kept"}},
                     now, dead);
-    lost.push_back(dead);
+    return true;
   }
 
-  /// Scan-MPS-direct recovery is restart-based: UVA peer writes leave no
-  /// checkpointable intermediate on the master mid-kernel, so mark the
-  /// device down, re-place (fewer GPUs, possibly Scan-SP), and rerun.
-  RunResult run_direct_restarting(std::span<const T> in, std::span<T> out,
-                                  ScanKind kind, std::vector<int>& lost) {
-    sim::FaultInjector* fi = ctx_->cluster().fault_injector();
-    const int limit = ctx_->cluster().num_devices();
-    for (int attempt = 0;; ++attempt) {
-      prepare(n_, g_);  // re-places when a recovery moved the liveness epoch
-      if (use_sp_) return sp_.run(*ctx_, *plan_, in, out, n_, g_, kind);
-      ctx_->cluster().reset_clocks();
-      std::vector<GpuBatch<T>> batches;
-      for (std::size_t d = 0; d < gpus_.size(); ++d) {
-        batches.push_back(GpuBatch<T>{ins_[d].buffer(), outs_[d].buffer()});
-      }
-      scatter_batch<T>(in, batches, n_, g_);
-      try {
-        RunResult r = scan_mps_direct<T, Op>(ctx_->cluster(), gpus_, batches,
-                                             n_, g_, *plan_, kind, Op{},
-                                             &ctx_->workspace());
-        gather_batch<T>(batches, n_, g_, out);
-        return r;
-      } catch (const topo::TransferError& e) {
-        if (fi == nullptr || attempt >= limit) throw;
-        const double now = cluster_front(ctx_->cluster(), gpus_);
-        const int dead =
-            blame_endpoint(*fi, e.src_dev, e.dst_dev, gpus_.front(), now);
-        if (dead < 0) throw;
-        lost.push_back(dead);
-        obs::note_fault("restart",
-                        {{"executor", name()}, {"dead", std::to_string(dead)}},
-                        now, dead);
-      }
-    }
-  }
-
-  /// Placement: the requested W GPUs of node 0 when all are alive; the
-  /// largest surviving prefix whose size divides N otherwise (direct mode
-  /// additionally keeps only GPUs sharing the new master's PCIe network,
-  /// since peer writes need P2P reach).
-  void place(std::int64_t n) {
-    prep_report_ = {};
-    const auto all = node_gpus(ctx_->cluster(), 0, w_req_);
-    std::vector<int> alive;
-    std::vector<int> dead;
-    for (int id : all) (is_down(*ctx_, id) ? dead : alive).push_back(id);
-    MGS_REQUIRE(!alive.empty(),
-                "Scan-MPS executor: no surviving GPU on node 0");
-    if (dead.empty()) {
-      gpus_ = all;
-      w_ = w_req_;
-      use_sp_ = false;
-      return;
-    }
-    if (direct_) {
-      const int master = alive.front();
-      std::vector<int> same;
-      for (int id : alive) {
-        const auto link = ctx_->cluster().link_between(master, id);
-        if (link == topo::LinkType::kSelf || link == topo::LinkType::kP2P) {
-          same.push_back(id);
-        }
-      }
-      alive = std::move(same);
-    }
-    int w2 = static_cast<int>(alive.size());
-    while (w2 > 1 && n % w2 != 0) --w2;
-    gpus_.assign(alive.begin(), alive.begin() + w2);
-    w_ = w2;
-    use_sp_ = (w2 == 1);
-    prep_report_.degraded = true;
-    prep_report_.excluded_devices = dead;
-    prep_report_.invalidated_plans +=
-        ctx_->invalidate_plans(cluster_alive_count(*ctx_));
-    prep_report_.degraded_mode =
-        use_sp_ ? ("Scan-SP on device " + std::to_string(gpus_.front()))
-                : (name() + " W=" + std::to_string(w_));
-    prep_report_.replanned.push_back(name() + ": W=" + std::to_string(w_req_) +
-                                     " -> " + std::to_string(w_));
-  }
-
-  ScanContext* ctx_;
   bool direct_;
-  PipelineChoice pipe_;
   int w_req_ = 1;
   int w_ = 1;
-  bool use_sp_ = false;
   std::vector<int> gpus_;
-  std::optional<ScanPlan> plan_;
-  std::vector<Handle> ins_;
-  std::vector<Handle> outs_;
-  SpFallbackT<T, Op> sp_;
+  std::vector<GpuBatch<T>> batches_;  ///< the current run's staging views
+  MpsCheckpoint<T> ck_;               ///< the current run's progress
 };
 
 // -------------------------------------------------------------- Scan-MP-PC
@@ -630,10 +673,9 @@ template <typename T, typename Op>
 class MppcExecutorT final : public TypedScanExecutor<T, Op> {
  public:
   using Base = TypedScanExecutor<T, Op>;
-  using Handle = typename WorkspacePool::Handle<T>;
 
   MppcExecutorT(ScanContext& ctx, int y, int v, int m, PipelineChoice pipe)
-      : ctx_(&ctx), pipe_(pipe) {
+      : Base(ctx, ProposalKind::kMppc, pipe) {
     const auto& cfg = ctx.cluster().config();
     y_ = (y > 0) ? y : cfg.networks_per_node;
     v_req_ = (v > 0) ? v : cfg.gpus_per_network;
@@ -641,126 +683,14 @@ class MppcExecutorT final : public TypedScanExecutor<T, Op> {
     m_ = (m > 0) ? m : 1;
   }
 
-  std::string name() const override { return "Scan-MP-PC"; }
-
-  std::string describe() const override {
-    std::ostringstream os;
-    os << "Scan-MP-PC with Y=" << y_ << " networks/node, V=" << v_
-       << " GPUs/network, M=" << m_ << " nodes" << this->type_suffix();
-    if (plan_.has_value()) {
-      os << " (" << part_.groups.size() << " groups); n=" << n_ << " g=" << g_
-         << "; " << plan_->describe();
-    }
-    if (prep_report_.degraded) {
-      os << " [degraded: " << prep_report_.degraded_mode << "]";
-    }
-    return os.str();
-  }
-
-  void prepare(std::int64_t n, std::int64_t g) override {
-    MGS_REQUIRE(n > 0 && g > 0,
-                "Scan-MP-PC executor: N and G must be positive");
-    const std::uint64_t epoch = ctx_->fault_epoch();
-    if (n == n_ && g == g_ && epoch == fault_epoch_) return;
-    place(n, g);
-    ins_.clear();
-    outs_.clear();
-    if (use_sp_) {
-      plan_ = ctx_->plan_for(this->plan_key(*ctx_, n, g, 1));
-      sp_.prepare(*ctx_, sp_device_, n * g);
-    } else {
-      plan_ = apply_pipeline_choice(
-          ctx_->plan_for(this->plan_key(*ctx_, n, g, v_)), pipe_);
-      for (std::size_t grp = 0; grp < part_.groups.size(); ++grp) {
-        const std::int64_t per_gpu = (n / v_) * part_.g_of_group[grp];
-        std::vector<Handle> gin, gout;
-        for (int id : part_.groups[grp]) {
-          simt::Device& dev = ctx_->cluster().device(id);
-          gin.push_back(ctx_->workspace().template acquire<T>(dev, per_gpu));
-          gout.push_back(ctx_->workspace().template acquire<T>(dev, per_gpu));
-        }
-        ins_.push_back(std::move(gin));
-        outs_.push_back(std::move(gout));
-      }
-    }
-    n_ = n;
-    g_ = g;
-    fault_epoch_ = epoch;
-  }
-
-  RunResult run_typed(std::span<const T> in, std::span<T> out,
-                      ScanKind kind) override {
-    this->require_ready(static_cast<std::int64_t>(in.size()),
-                        static_cast<std::int64_t>(out.size()));
-    prepare(n_, g_);
-    obs::ScopedSpan run_span = this->trace_run();
-    sim::FaultInjector* fi = ctx_->cluster().fault_injector();
-    const int limit = ctx_->cluster().num_devices();
-    std::vector<int> lost;
-    RunResult r;
-    // Restart-based mid-run recovery: group-independent sub-scans make a
-    // partial result useless once any group loses a member, so mark the
-    // dead device, re-place (regrouping survivors), and rerun.
-    for (int attempt = 0;; ++attempt) {
-      prepare(n_, g_);  // re-places when a recovery moved the liveness epoch
-      if (use_sp_) {
-        r = sp_.run(*ctx_, *plan_, in, out, n_, g_, kind);
-        break;
-      }
-      ctx_->cluster().reset_clocks();
-      std::vector<std::vector<GpuBatch<T>>> batches;
-      for (std::size_t grp = 0; grp < part_.groups.size(); ++grp) {
-        std::vector<GpuBatch<T>> b;
-        for (std::size_t d = 0; d < part_.groups[grp].size(); ++d) {
-          b.push_back(
-              GpuBatch<T>{ins_[grp][d].buffer(), outs_[grp][d].buffer()});
-        }
-        batches.push_back(std::move(b));
-      }
-      for (std::size_t grp = 0; grp < batches.size(); ++grp) {
-        scatter_batch<T>(
-            in.subspan(static_cast<std::size_t>(part_.g_offset[grp] * n_),
-                       static_cast<std::size_t>(part_.g_of_group[grp] * n_)),
-            batches[grp], n_, part_.g_of_group[grp]);
-      }
-      try {
-        r = scan_mppc<T, Op>(ctx_->cluster(), part_, batches, n_, *plan_,
-                             kind, Op{}, &ctx_->workspace());
-        for (std::size_t grp = 0; grp < batches.size(); ++grp) {
-          gather_batch<T>(
-              batches[grp], n_, part_.g_of_group[grp],
-              out.subspan(static_cast<std::size_t>(part_.g_offset[grp] * n_),
-                          static_cast<std::size_t>(part_.g_of_group[grp] *
-                                                   n_)));
-        }
-        break;
-      } catch (const topo::TransferError& e) {
-        if (fi == nullptr || attempt >= limit) throw;
-        std::vector<int> ids;
-        for (const auto& grp : part_.groups) {
-          ids.insert(ids.end(), grp.begin(), grp.end());
-        }
-        const double now = cluster_front(ctx_->cluster(), ids);
-        const int dead = blame_endpoint(*fi, e.src_dev, e.dst_dev,
-                                        /*master=*/-1, now);
-        if (dead < 0) throw;
-        lost.push_back(dead);
-        obs::note_fault("restart",
-                        {{"executor", name()}, {"dead", std::to_string(dead)}},
-                        now, dead);
-      }
-    }
-    this->stamp_report(r);
-    if (!lost.empty()) merge_mid_run_losses(r.faults, name(), lost);
-    this->finish_run(run_span, r);
-    return r;
-  }
-
  private:
-  using Base::fault_epoch_;
+  using Base::ctx_;
   using Base::g_;
+  using Base::ins_;
   using Base::n_;
+  using Base::plan_;
   using Base::prep_report_;
+  using typename Base::Placement;
 
   /// Placement: the paper's Y x V partition when every requested GPU is
   /// alive; otherwise the groups are rebuilt from the alive GPUs of each
@@ -768,8 +698,7 @@ class MppcExecutorT final : public TypedScanExecutor<T, Op> {
   /// with a uniform V' = min over networks, shrunk until it divides N.
   /// Networks with no survivor are dropped; a single surviving GPU
   /// collapses to Scan-SP.
-  void place(std::int64_t n, std::int64_t g) {
-    prep_report_ = {};
+  Placement place(std::int64_t n, std::int64_t g) override {
     const auto& cfg = ctx_->cluster().config();
     bool any_down = false;
     for (int node = 0; node < m_ && !any_down; ++node) {
@@ -787,8 +716,7 @@ class MppcExecutorT final : public TypedScanExecutor<T, Op> {
                   "Scan-MP-PC executor: N must be divisible by V");
       part_ = make_mppc_partition(ctx_->cluster(), y_, v_req_, g, m_);
       v_ = v_req_;
-      use_sp_ = false;
-      return;
+      return {v_, -1};
     }
 
     std::vector<std::vector<int>> nets;
@@ -817,15 +745,15 @@ class MppcExecutorT final : public TypedScanExecutor<T, Op> {
     prep_report_.excluded_devices = dead;
     prep_report_.invalidated_plans +=
         ctx_->invalidate_plans(cluster_alive_count(*ctx_));
+    Placement at;
     if (nets.size() == 1 && v2 == 1) {
-      use_sp_ = true;
-      sp_device_ = nets.front().front();
+      at.solo = nets.front().front();
       v_ = 1;
       prep_report_.degraded_mode =
-          "Scan-SP on device " + std::to_string(sp_device_);
+          "Scan-SP on device " + std::to_string(at.solo);
     } else {
-      use_sp_ = false;
       v_ = v2;
+      at.width = v2;
       part_ = MppcPartition{};
       part_.v = v2;
       const std::int64_t total_groups =
@@ -848,22 +776,68 @@ class MppcExecutorT final : public TypedScanExecutor<T, Op> {
     prep_report_.replanned.push_back(
         "Scan-MP-PC: V=" + std::to_string(v_req_) + " -> " +
         std::to_string(v2) + ", groups -> " +
-        std::to_string(use_sp_ ? 1 : static_cast<int>(part_.groups.size())));
+        std::to_string(at.solo >= 0 ? 1
+                                    : static_cast<int>(part_.groups.size())));
+    return at;
   }
 
-  ScanContext* ctx_;
-  PipelineChoice pipe_;
+  void lease_staging(std::int64_t n, std::int64_t) override {
+    for (std::size_t grp = 0; grp < part_.groups.size(); ++grp) {
+      for (int id : part_.groups[grp]) {
+        this->lease(id, (n / v_) * part_.g_of_group[grp]);
+      }
+    }
+  }
+
+  std::string placement() const override {
+    std::ostringstream os;
+    os << "Scan-MP-PC with Y=" << y_ << " networks/node, V=" << v_
+       << " GPUs/network, M=" << m_ << " nodes";
+    return os.str();
+  }
+
+  std::string plan_note() const override {
+    return " (" + std::to_string(part_.groups.size()) + " groups)";
+  }
+
+  /// No master: groups are independent, so a link death may be blamed on
+  /// either endpoint.
+  int master() const override { return -1; }
+
+  /// Group-independent sub-scans make a partial result useless once any
+  /// group loses a member, so recovery restarts (the default).
+  RunResult run_attempt(std::span<const T> in, std::span<T> out,
+                        ScanKind kind, bool) override {
+    std::vector<std::vector<GpuBatch<T>>> batches;
+    std::size_t first = 0;
+    for (const auto& grp : part_.groups) {
+      batches.push_back(this->staged(first, grp.size()));
+      first += grp.size();
+    }
+    auto rows = [&](std::size_t grp) {
+      return std::pair{static_cast<std::size_t>(part_.g_offset[grp] * n_),
+                       static_cast<std::size_t>(part_.g_of_group[grp] * n_)};
+    };
+    for (std::size_t grp = 0; grp < batches.size(); ++grp) {
+      const auto [at, len] = rows(grp);
+      scatter_batch<T>(in.subspan(at, len), batches[grp], n_,
+                       part_.g_of_group[grp]);
+    }
+    RunResult r = scan_mppc<T, Op>(ctx_->cluster(), part_, batches, n_,
+                                   *plan_, kind, Op{}, &ctx_->workspace());
+    for (std::size_t grp = 0; grp < batches.size(); ++grp) {
+      const auto [at, len] = rows(grp);
+      gather_batch<T>(batches[grp], n_, part_.g_of_group[grp],
+                      out.subspan(at, len));
+    }
+    return r;
+  }
+
   int y_ = 1;
   int v_req_ = 1;
   int v_ = 1;
   int m_ = 1;
-  bool use_sp_ = false;
-  int sp_device_ = -1;
   MppcPartition part_;
-  std::optional<ScanPlan> plan_;
-  std::vector<std::vector<Handle>> ins_;
-  std::vector<std::vector<Handle>> outs_;
-  SpFallbackT<T, Op> sp_;
 };
 
 // --------------------------------------------------- multi-node Scan-MPS
@@ -872,10 +846,9 @@ template <typename T, typename Op>
 class MultinodeExecutorT final : public TypedScanExecutor<T, Op> {
  public:
   using Base = TypedScanExecutor<T, Op>;
-  using Handle = typename WorkspacePool::Handle<T>;
 
   MultinodeExecutorT(ScanContext& ctx, int m, int w, PipelineChoice pipe)
-      : ctx_(&ctx), pipe_(pipe) {
+      : Base(ctx, ProposalKind::kMultinode, pipe) {
     const auto& cfg = ctx.cluster().config();
     m_ = (m > 0) ? m : cfg.nodes;
     w_ = (w > 0) ? w : cfg.gpus_per_node();
@@ -884,126 +857,19 @@ class MultinodeExecutorT final : public TypedScanExecutor<T, Op> {
     node_gpus(ctx.cluster(), 0, w_);  // validates w_ against the node shape
   }
 
-  std::string name() const override { return "Scan-MPS-multinode"; }
-
-  std::string describe() const override {
-    std::ostringstream os;
-    os << "Scan-MPS-multinode over " << m_ << " nodes x " << w_
-       << " GPUs (one MPI rank per GPU)" << this->type_suffix();
-    if (plan_.has_value()) {
-      os << "; n=" << n_ << " g=" << g_ << "; " << plan_->describe();
-    }
-    if (prep_report_.degraded) {
-      os << " [degraded: " << prep_report_.degraded_mode << "]";
-    }
-    return os.str();
-  }
-
-  void prepare(std::int64_t n, std::int64_t g) override {
-    MGS_REQUIRE(n > 0 && g > 0,
-                "Scan-MPS-multinode executor: N and G must be positive");
-    const std::uint64_t epoch = ctx_->fault_epoch();
-    if (n == n_ && g == g_ && epoch == fault_epoch_) return;
-    place(n);
-    ins_.clear();
-    outs_.clear();
-    if (use_sp_) {
-      plan_ = ctx_->plan_for(this->plan_key(*ctx_, n, g, 1));
-      sp_.prepare(*ctx_, sp_device_, n * g);
-    } else {
-      const int ranks = comm_->size();
-      plan_ = apply_pipeline_choice(
-          ctx_->plan_for(this->plan_key(*ctx_, n, g, ranks)), pipe_);
-      const std::int64_t per_rank = (n / ranks) * g;
-      for (int r = 0; r < ranks; ++r) {
-        simt::Device& dev = ctx_->cluster().device(comm_->device_of(r));
-        ins_.push_back(ctx_->workspace().template acquire<T>(dev, per_rank));
-        outs_.push_back(ctx_->workspace().template acquire<T>(dev, per_rank));
-      }
-    }
-    n_ = n;
-    g_ = g;
-    fault_epoch_ = epoch;
-  }
-
-  RunResult run_typed(std::span<const T> in, std::span<T> out,
-                      ScanKind kind) override {
-    this->require_ready(static_cast<std::int64_t>(in.size()),
-                        static_cast<std::int64_t>(out.size()));
-    prepare(n_, g_);
-    obs::ScopedSpan run_span = this->trace_run();
-    sim::FaultInjector* fi = ctx_->cluster().fault_injector();
-    const int limit = ctx_->cluster().num_devices();
-    std::vector<int> lost;
-    RunResult r;
-    // Restart-based mid-run recovery: a failed rank is identified from the
-    // typed error (CommError names it; TransferError names the endpoints),
-    // marked down, and the run re-places on the surviving ranks.
-    for (int attempt = 0;; ++attempt) {
-      prepare(n_, g_);  // re-places when a recovery moved the liveness epoch
-      if (use_sp_) {
-        r = sp_.run(*ctx_, *plan_, in, out, n_, g_, kind);
-        break;
-      }
-      ctx_->cluster().reset_clocks();
-      std::vector<GpuBatch<T>> batches;
-      for (std::size_t rk = 0; rk < ins_.size(); ++rk) {
-        batches.push_back(GpuBatch<T>{ins_[rk].buffer(), outs_[rk].buffer()});
-      }
-      scatter_batch<T>(in, batches, n_, g_);
-      try {
-        r = scan_mps_multinode<T, Op>(*comm_, batches, n_, g_, *plan_, kind,
-                                      Op{}, &ctx_->workspace());
-        gather_batch<T>(batches, n_, g_, out);
-        break;
-      } catch (const msg::CommError& e) {
-        if (fi == nullptr || attempt >= limit) throw;
-        std::vector<int> ids;
-        for (int rk = 0; rk < comm_->size(); ++rk) {
-          ids.push_back(comm_->device_of(rk));
-        }
-        const double now = cluster_front(ctx_->cluster(), ids);
-        const int dead = comm_->device_of(e.failed_rank);
-        if (!fi->device_is_down(dead)) fi->mark_device_down(dead);
-        lost.push_back(dead);
-        obs::note_fault("restart",
-                        {{"executor", name()},
-                         {"rank", std::to_string(e.failed_rank)},
-                         {"dead", std::to_string(dead)}},
-                        now, dead);
-      } catch (const topo::TransferError& e) {
-        if (fi == nullptr || attempt >= limit) throw;
-        std::vector<int> ids;
-        for (int rk = 0; rk < comm_->size(); ++rk) {
-          ids.push_back(comm_->device_of(rk));
-        }
-        const double now = cluster_front(ctx_->cluster(), ids);
-        const int dead = blame_endpoint(*fi, e.src_dev, e.dst_dev,
-                                        comm_->device_of(0), now);
-        if (dead < 0) throw;
-        lost.push_back(dead);
-        obs::note_fault("restart",
-                        {{"executor", name()}, {"dead", std::to_string(dead)}},
-                        now, dead);
-      }
-    }
-    this->stamp_report(r);
-    if (!lost.empty()) merge_mid_run_losses(r.faults, name(), lost);
-    this->finish_run(run_span, r);
-    return r;
-  }
-
  private:
-  using Base::fault_epoch_;
+  using Base::ctx_;
   using Base::g_;
+  using Base::ins_;
   using Base::n_;
+  using Base::plan_;
   using Base::prep_report_;
+  using typename Base::Placement;
 
   /// Placement: one rank per requested GPU when all are alive; dead ranks
   /// are dropped otherwise, then surviving ranks are trimmed from the tail
   /// until the count divides N. A single survivor collapses to Scan-SP.
-  void place(std::int64_t n) {
-    prep_report_ = {};
+  Placement place(std::int64_t n, std::int64_t) override {
     std::vector<int> ids;
     std::vector<int> dead;
     for (int node = 0; node < m_; ++node) {
@@ -1015,9 +881,8 @@ class MultinodeExecutorT final : public TypedScanExecutor<T, Op> {
     if (dead.empty()) {
       MGS_REQUIRE(n % static_cast<std::int64_t>(ids.size()) == 0,
                   "Scan-MPS-multinode executor: N must divide by M*W");
-      use_sp_ = false;
       comm_.emplace(ctx_->cluster(), std::move(ids));
-      return;
+      return {comm_->size(), -1};
     }
     const std::size_t survivors = ids.size();
     std::size_t r = survivors;
@@ -1027,15 +892,15 @@ class MultinodeExecutorT final : public TypedScanExecutor<T, Op> {
     prep_report_.excluded_devices = dead;
     prep_report_.invalidated_plans +=
         ctx_->invalidate_plans(cluster_alive_count(*ctx_));
+    Placement at;
     if (r == 1) {
-      use_sp_ = true;
-      sp_device_ = ids.front();
+      at.solo = ids.front();
       comm_.reset();
       prep_report_.degraded_mode =
-          "Scan-SP on device " + std::to_string(sp_device_);
+          "Scan-SP on device " + std::to_string(at.solo);
     } else {
-      use_sp_ = false;
       comm_.emplace(ctx_->cluster(), std::move(ids));
+      at.width = comm_->size();
       prep_report_.degraded_mode =
           "Scan-MPS-multinode on " + std::to_string(r) + " ranks";
     }
@@ -1045,20 +910,62 @@ class MultinodeExecutorT final : public TypedScanExecutor<T, Op> {
         (r < survivors ? " (" + std::to_string(survivors - r) +
                              " surviving ranks idled so ranks divide N)"
                        : ""));
+    return at;
   }
 
-  ScanContext* ctx_;
-  PipelineChoice pipe_;
+  /// One staging pair per rank, in rank order (so a CommError's failed
+  /// rank indexes the staging directly).
+  void lease_staging(std::int64_t n, std::int64_t g) override {
+    for (int r = 0; r < comm_->size(); ++r) {
+      this->lease(comm_->device_of(r), (n / comm_->size()) * g);
+    }
+  }
+
+  std::string placement() const override {
+    std::ostringstream os;
+    os << "Scan-MPS-multinode over " << m_ << " nodes x " << w_
+       << " GPUs (one MPI rank per GPU)";
+    return os.str();
+  }
+
+  RunResult run_attempt(std::span<const T> in, std::span<T> out,
+                        ScanKind kind, bool) override {
+    auto batches = this->staged(0, ins_.size());
+    scatter_batch<T>(in, batches, n_, g_);
+    RunResult r = scan_mps_multinode<T, Op>(*comm_, batches, n_, g_, *plan_,
+                                            kind, Op{}, &ctx_->workspace());
+    gather_batch<T>(batches, n_, g_, out);
+    return r;
+  }
+
   int m_ = 1;
   int w_ = 1;
-  bool use_sp_ = false;
-  int sp_device_ = -1;
   std::optional<msg::Communicator> comm_;
-  std::optional<ScanPlan> plan_;
-  std::vector<Handle> ins_;
-  std::vector<Handle> outs_;
-  SpFallbackT<T, Op> sp_;
 };
+
+/// The one (proposal, T, Op, params) -> constructor mapping: the factory
+/// table, the registry and SegmentedScan all build executors here. Each
+/// constructor derives its own "0 = whole cluster" defaults.
+template <typename T, typename Op>
+std::unique_ptr<TypedScanExecutor<T, Op>> construct(ProposalKind kind,
+                                                    ScanContext& ctx,
+                                                    const ExecutorParams& p) {
+  const PipelineChoice pipe{p.pipeline, p.waves};
+  switch (kind) {
+    case ProposalKind::kSp:
+      return std::make_unique<SpExecutorT<T, Op>>(ctx, p.device);
+    case ProposalKind::kMps:
+    case ProposalKind::kMpsDirect:
+      return std::make_unique<MpsExecutorT<T, Op>>(
+          ctx, p.w, kind == ProposalKind::kMpsDirect, pipe);
+    case ProposalKind::kMppc:
+      return std::make_unique<MppcExecutorT<T, Op>>(ctx, p.y, p.v, p.m, pipe);
+    case ProposalKind::kMultinode:
+      return std::make_unique<MultinodeExecutorT<T, Op>>(ctx, p.m, p.w,
+                                                         pipe);
+  }
+  throw util::Error("construct: unhandled proposal");
+}
 
 }  // namespace detail
 
@@ -1069,40 +976,25 @@ class MultinodeExecutorT final : public TypedScanExecutor<T, Op> {
 template <typename T, typename Op = Plus<T>>
 std::unique_ptr<TypedScanExecutor<T, Op>> make_typed_executor(
     const std::string& name, ScanContext& ctx, const ExecutorParams& p = {}) {
-  const PipelineChoice pipe{p.pipeline, p.waves};
-  if (name == "Scan-SP") {
-    return std::make_unique<detail::SpExecutorT<T, Op>>(ctx, p.device);
-  }
-  if (name == "Scan-MPS") {
-    return std::make_unique<detail::MpsExecutorT<T, Op>>(ctx, p.w,
-                                                         /*direct=*/false,
-                                                         pipe);
-  }
-  if (name == "Scan-MPS-direct") {
-    return std::make_unique<detail::MpsExecutorT<T, Op>>(ctx, p.w,
-                                                         /*direct=*/true,
-                                                         pipe);
-  }
-  if (name == "Scan-MP-PC") {
-    return std::make_unique<detail::MppcExecutorT<T, Op>>(
-        ctx, p.y, p.v, p.m > 0 ? p.m : 1, pipe);
-  }
-  if (name == "Scan-MPS-multinode") {
-    return std::make_unique<detail::MultinodeExecutorT<T, Op>>(ctx, p.m, p.w,
-                                                               pipe);
-  }
-  MGS_REQUIRE(false, "make_typed_executor: unknown executor '" + name + "'");
-  return nullptr;
+  return detail::construct<T, Op>(detail::proposal_of(name), ctx, p);
 }
 
 namespace detail {
 
-/// One (DType, OpTag) -> executor-factory dispatch table. The table
-/// *variables* are built only in executor.cpp and in the CI instantiation
-/// guard -- never as inline header constants -- so ordinary TUs including
-/// this header do not instantiate the full proposal x dtype x op matrix.
+/// The (DType, OpTag) -> erased-constructor dispatch table. The table
+/// *variable* is built only in executor.cpp and in the CI instantiation
+/// guard -- never as an inline header constant -- so ordinary TUs
+/// including this header do not instantiate the full proposal x dtype x
+/// op matrix.
 using ExecutorFactory = std::unique_ptr<ScanExecutor> (*)(
-    ScanContext&, const ExecutorParams&);
+    ProposalKind, ScanContext&, const ExecutorParams&);
+
+template <typename T, typename Op>
+std::unique_ptr<ScanExecutor> construct_erased(ProposalKind kind,
+                                               ScanContext& ctx,
+                                               const ExecutorParams& p) {
+  return construct<T, Op>(kind, ctx, p);
+}
 
 struct FactoryTable {
   ExecutorFactory fn[kNumDTypes][kNumOpTags] = {};
@@ -1118,9 +1010,9 @@ struct FactoryTable {
   }
 };
 
-/// Every cell filled? static_asserted over each table in executor.cpp and
-/// the guard TU, so a new DType/OpTag enumerator that misses a maker row
-/// breaks the build rather than null-dispatching at runtime.
+/// Every cell filled? static_asserted in executor.cpp and the guard TU,
+/// so a new DType/OpTag enumerator that misses a row breaks the build
+/// rather than null-dispatching at runtime.
 constexpr bool table_is_dense(const FactoryTable& t) {
   for (int d = 0; d < kNumDTypes; ++d) {
     for (int o = 0; o < kNumOpTags; ++o) {
@@ -1130,74 +1022,27 @@ constexpr bool table_is_dense(const FactoryTable& t) {
   return true;
 }
 
-/// Maker shims: one static make() per (proposal, T, Op) with the uniform
-/// ExecutorFactory signature the tables store.
-template <typename T, typename Op>
-struct SpMaker {
-  static std::unique_ptr<ScanExecutor> make(ScanContext& ctx,
-                                            const ExecutorParams& p) {
-    return std::make_unique<SpExecutorT<T, Op>>(ctx, p.device);
-  }
-};
-
-template <typename T, typename Op>
-struct MpsMaker {
-  static std::unique_ptr<ScanExecutor> make(ScanContext& ctx,
-                                            const ExecutorParams& p) {
-    return std::make_unique<MpsExecutorT<T, Op>>(
-        ctx, p.w, /*direct=*/false, PipelineChoice{p.pipeline, p.waves});
-  }
-};
-
-template <typename T, typename Op>
-struct MpsDirectMaker {
-  static std::unique_ptr<ScanExecutor> make(ScanContext& ctx,
-                                            const ExecutorParams& p) {
-    return std::make_unique<MpsExecutorT<T, Op>>(
-        ctx, p.w, /*direct=*/true, PipelineChoice{p.pipeline, p.waves});
-  }
-};
-
-template <typename T, typename Op>
-struct MppcMaker {
-  static std::unique_ptr<ScanExecutor> make(ScanContext& ctx,
-                                            const ExecutorParams& p) {
-    return std::make_unique<MppcExecutorT<T, Op>>(
-        ctx, p.y, p.v, p.m > 0 ? p.m : 1, PipelineChoice{p.pipeline, p.waves});
-  }
-};
-
-template <typename T, typename Op>
-struct MultinodeMaker {
-  static std::unique_ptr<ScanExecutor> make(ScanContext& ctx,
-                                            const ExecutorParams& p) {
-    return std::make_unique<MultinodeExecutorT<T, Op>>(
-        ctx, p.m, p.w, PipelineChoice{p.pipeline, p.waves});
-  }
-};
-
-/// Fill one dtype row of a table with the three operator columns.
-template <template <typename, typename> class Maker, typename T>
+/// Fill one dtype row of the table with the three operator columns.
+template <typename T>
 constexpr void fill_row(FactoryTable& t) {
   const int d = static_cast<int>(*dtype_of_v<T>);
-  t.fn[d][static_cast<int>(OpTag::kPlus)] = &Maker<T, Plus<T>>::make;
-  t.fn[d][static_cast<int>(OpTag::kMax)] = &Maker<T, Max<T>>::make;
-  t.fn[d][static_cast<int>(OpTag::kMin)] = &Maker<T, Min<T>>::make;
+  t.fn[d][static_cast<int>(OpTag::kPlus)] = &construct_erased<T, Plus<T>>;
+  t.fn[d][static_cast<int>(OpTag::kMax)] = &construct_erased<T, Max<T>>;
+  t.fn[d][static_cast<int>(OpTag::kMin)] = &construct_erased<T, Min<T>>;
   for (const OpTag o : {OpTag::kPlus, OpTag::kMax, OpTag::kMin}) {
     t.set[d][static_cast<int>(o)] = true;
   }
 }
 
-/// The full 5 x 3 table for one proposal. Instantiates that proposal over
-/// the whole matrix -- call only from executor.cpp / the guard TU.
-template <template <typename, typename> class Maker>
+/// The full 5 x 3 table. Instantiates every proposal over the whole
+/// matrix -- call only from executor.cpp / the guard TU.
 constexpr FactoryTable make_table() {
   FactoryTable t;
-  fill_row<Maker, std::int32_t>(t);
-  fill_row<Maker, std::int64_t>(t);
-  fill_row<Maker, std::uint32_t>(t);
-  fill_row<Maker, float>(t);
-  fill_row<Maker, double>(t);
+  fill_row<std::int32_t>(t);
+  fill_row<std::int64_t>(t);
+  fill_row<std::uint32_t>(t);
+  fill_row<float>(t);
+  fill_row<double>(t);
   return t;
 }
 

@@ -1,7 +1,10 @@
 #include "mgs/sim/fault.hpp"
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
+#include <limits>
+#include <optional>
 #include <sstream>
 
 #include "mgs/util/check.hpp"
@@ -51,37 +54,88 @@ double parse_num(const std::string& key, const std::string& val) {
   }
 }
 
+/// An integer key: decimal digits only (optionally signed), no fraction or
+/// exponent, within [lo, hi].
+long long parse_int(const std::string& key, const std::string& val,
+                    long long lo, long long hi) {
+  long long v = 0;
+  try {
+    std::size_t pos = 0;
+    v = std::stoll(val, &pos);
+    MGS_REQUIRE(pos == val.size(), "faults: '" + key +
+                                       "' must be an integer, got " + val);
+  } catch (const util::Error&) {
+    throw;
+  } catch (const std::exception&) {
+    throw util::Error("faults: bad integer value for '" + key + "': " + val);
+  }
+  MGS_REQUIRE(v >= lo && v <= hi, "faults: '" + key + "' out of range [" +
+                                      std::to_string(lo) + ", " +
+                                      std::to_string(hi) + "]: " + val);
+  return v;
+}
+
+/// The 64-bit coin seed, read exactly (a double would round it).
+std::uint64_t parse_seed(const std::string& val) {
+  try {
+    MGS_REQUIRE(!val.empty() && std::isdigit(static_cast<unsigned char>(
+                                    val.front())) != 0,
+                "faults: seed must be an unsigned integer, got " + val);
+    std::size_t pos = 0;
+    const std::uint64_t v = std::stoull(val, &pos);
+    MGS_REQUIRE(pos == val.size(),
+                "faults: seed must be an unsigned integer, got " + val);
+    return v;
+  } catch (const util::Error&) {
+    throw;
+  } catch (const std::exception&) {
+    throw util::Error("faults: bad seed: " + val);
+  }
+}
+
 }  // namespace
 
 FaultPlan parse_fault_plan(const std::string& spec) {
+  constexpr long long kIntMin = std::numeric_limits<int>::min();
+  constexpr long long kIntMax = std::numeric_limits<int>::max();
   FaultPlan plan;
   for (const std::string& item : split(spec, ';')) {
     const auto colon = item.find(':');
     const std::string kind_name = item.substr(0, colon);
-    std::map<std::string, double> kv;
+    std::map<std::string, std::string> kv;
     if (colon != std::string::npos) {
       for (const std::string& pair : split(item.substr(colon + 1), ',')) {
         const auto eq = pair.find('=');
         MGS_REQUIRE(eq != std::string::npos,
                     "faults: expected key=value in '" + pair + "'");
-        kv[pair.substr(0, eq)] = parse_num(pair.substr(0, eq),
-                                           pair.substr(eq + 1));
+        kv[pair.substr(0, eq)] = pair.substr(eq + 1);
       }
     }
-    auto take = [&kv](const char* key, double def) {
+    // Each take consumes its key; whatever is left is unknown.
+    auto take = [&kv](const char* key) -> std::optional<std::string> {
       const auto it = kv.find(key);
-      if (it == kv.end()) return def;
-      const double v = it->second;
+      if (it == kv.end()) return std::nullopt;
+      std::string v = it->second;
       kv.erase(it);
       return v;
     };
+    auto take_num = [&](const char* key, double def) {
+      const auto v = take(key);
+      return v ? parse_num(key, *v) : def;
+    };
+    auto take_int = [&](const char* key, long long def, long long lo,
+                        long long hi) {
+      const auto v = take(key);
+      return v ? parse_int(key, *v, lo, hi) : def;
+    };
 
     if (kind_name == "policy") {
-      plan.max_retries = static_cast<int>(take("retries", plan.max_retries));
-      plan.backoff_base_us = take("backoff-us", plan.backoff_base_us);
-      plan.timeout_seconds = take("timeout-s", plan.timeout_seconds);
-      plan.seed = static_cast<std::uint64_t>(
-          take("seed", static_cast<double>(plan.seed)));
+      // 2^attempt backoff must stay a positive 64-bit shift.
+      plan.max_retries =
+          static_cast<int>(take_int("retries", plan.max_retries, 0, 62));
+      plan.backoff_base_us = take_num("backoff-us", plan.backoff_base_us);
+      plan.timeout_seconds = take_num("timeout-s", plan.timeout_seconds);
+      if (const auto v = take("seed")) plan.seed = parse_seed(*v);
     } else {
       FaultEvent e;
       if (kind_name == "transient") {
@@ -97,14 +151,14 @@ FaultPlan parse_fault_plan(const std::string& spec) {
       } else {
         throw util::Error("faults: unknown fault kind '" + kind_name + "'");
       }
-      e.src = static_cast<int>(take("src", -1));
-      e.dst = static_cast<int>(take("dst", -1));
-      e.device = static_cast<int>(take("dev", -1));
-      e.op = static_cast<std::int64_t>(take("op", -1));
-      e.count = static_cast<std::int64_t>(take("count", 1));
-      e.at_seconds = take("at", 0.0);
-      e.probability = take("prob", 0.0);
-      e.factor = take("factor", 2.0);
+      e.src = static_cast<int>(take_int("src", -1, kIntMin, kIntMax));
+      e.dst = static_cast<int>(take_int("dst", -1, kIntMin, kIntMax));
+      e.device = static_cast<int>(take_int("dev", -1, kIntMin, kIntMax));
+      e.op = take_int("op", -1, kIntMin, kIntMax);
+      e.count = take_int("count", 1, kIntMin, kIntMax);
+      e.at_seconds = take_num("at", 0.0);
+      e.probability = take_num("prob", 0.0);
+      e.factor = take_num("factor", 2.0);
       MGS_REQUIRE(e.probability >= 0.0 && e.probability <= 1.0,
                   "faults: prob must be in [0, 1]");
       MGS_REQUIRE(e.kind != FaultKind::kDeviceDown || e.device >= 0,
@@ -114,17 +168,15 @@ FaultPlan parse_fault_plan(const std::string& spec) {
       MGS_REQUIRE(e.kind != FaultKind::kLinkDown ||
                       (e.src >= 0 && e.dst >= 0),
                   "faults: link-down needs src=<id>,dst=<id>");
-      MGS_REQUIRE(
-          e.kind != FaultKind::kTransientTransfer &&
-                  e.kind != FaultKind::kCorruption ||
-              e.op >= 0 || e.probability > 0.0,
-          "faults: transient/corrupt need op=<k> or prob=<p>");
+      const bool per_op = e.kind == FaultKind::kTransientTransfer ||
+                          e.kind == FaultKind::kCorruption;
+      MGS_REQUIRE(!per_op || e.op >= 0 || e.probability > 0.0,
+                  "faults: transient/corrupt need op=<k> or prob=<p>");
       plan.events.push_back(e);
     }
-    for (const auto& [key, val] : kv) {
-      (void)val;
-      throw util::Error("faults: unknown key '" + key + "' for '" +
-                        kind_name + "'");
+    if (!kv.empty()) {
+      throw util::Error("faults: unknown key '" + kv.begin()->first +
+                        "' for '" + kind_name + "'");
     }
   }
   return plan;
@@ -197,7 +249,8 @@ std::string to_spec(const FaultPlan& plan) {
       key("timeout-s", plan.timeout_seconds);
     }
     if (plan.seed != defaults.seed) {
-      key("seed", static_cast<double>(plan.seed));
+      if (!fk) os << ',';
+      os << "seed=" << plan.seed;  // exact: a double would round it
     }
   }
   return os.str();
@@ -242,7 +295,10 @@ std::string FaultReport::summary() const {
 
 // --------------------------------------------------------------- injector
 
-FaultInjector::FaultInjector(FaultPlan plan) : plan_(std::move(plan)) {}
+FaultInjector::FaultInjector(FaultPlan plan) : plan_(std::move(plan)) {
+  MGS_REQUIRE(plan_.max_retries >= 0 && plan_.max_retries <= 62,
+              "faults: max_retries must be in [0, 62]");
+}
 
 void FaultInjector::mark_device_down(int dev) {
   if (marked_down_.insert(dev).second) ++epoch_;

@@ -57,7 +57,7 @@ struct FaultEvent {
 struct FaultPlan {
   std::vector<FaultEvent> events;
   std::uint64_t seed = 0x9e3779b97f4a7c15ull;
-  int max_retries = 4;           ///< attempts after the first
+  int max_retries = 4;           ///< attempts after the first; [0, 62]
   double backoff_base_us = 50.0; ///< backoff before retry k is base * 2^k
   double timeout_seconds = std::numeric_limits<double>::infinity();
 
@@ -67,8 +67,10 @@ struct FaultPlan {
 /// Parse a fault-spec string (the bench binaries' --faults flag):
 ///   "event;event;..." where each event is "kind:key=val,key=val".
 /// Kinds: transient, link-down, device-down, corrupt, straggler, policy.
-/// Keys: src, dst, dev, op, count, at, prob, factor; the pseudo-event
-/// "policy" sets retries, backoff-us, timeout-s. Examples:
+/// Keys: src, dst, dev, op, count (integers in int range), at, prob,
+/// factor; the pseudo-event "policy" sets retries (an integer in
+/// [0, 62]), backoff-us, timeout-s and seed (an exact unsigned 64-bit
+/// integer). Examples:
 ///   "transient:src=0,dst=4,op=0,count=2"
 ///   "device-down:dev=3;policy:retries=2"
 ///   "corrupt:prob=0.05;straggler:dev=1,factor=4"

@@ -1,17 +1,17 @@
 // CI instantiation guard: force every proposal executor template through
 // every (DType, OpTag) cell of the dispatch matrix, and through the
 // packed segmented representation, in one TU. Ordinary TUs never
-// instantiate the full matrix (the factory tables live only in
+// instantiate the full matrix (the factory table lives only in
 // executor.cpp), so a member function that fails to compile for, say,
 // (float, Min) could otherwise hide until a caller first touches that
 // cell. Explicit instantiation definitions instantiate *all* members.
 //
-// The static_asserts mirror executor.cpp's: every table a Maker builds
-// must be dense, so adding a DType or OpTag enumerator without extending
-// the rows breaks this build instead of null-dispatching at runtime.
+// The static_assert mirrors executor.cpp's: the factory table must be
+// dense, so adding a DType or OpTag enumerator without extending the rows
+// breaks this build instead of null-dispatching at runtime.
 //
 // Runtime behavior is a smoke check only: one erased construction per
-// proposal name proves the tables dispatch.
+// proposal name proves the table dispatches.
 
 #include <cstdint>
 #include <cstdio>
@@ -23,10 +23,10 @@
 
 // ---- the full proposal x dtype x op matrix, all members ----------------
 
-#define MGS_GUARD_OPS(EXEC, T)                                   \
-  template class mgs::core::detail::EXEC<T, mgs::core::Plus<T>>; \
-  template class mgs::core::detail::EXEC<T, mgs::core::Max<T>>;  \
-  template class mgs::core::detail::EXEC<T, mgs::core::Min<T>>;
+#define MGS_GUARD_OPS(EXEC, T)                         \
+  template class mgs::core::EXEC<T, mgs::core::Plus<T>>; \
+  template class mgs::core::EXEC<T, mgs::core::Max<T>>;  \
+  template class mgs::core::EXEC<T, mgs::core::Min<T>>;
 
 #define MGS_GUARD_MATRIX(EXEC)       \
   MGS_GUARD_OPS(EXEC, std::int32_t)  \
@@ -35,12 +35,14 @@
   MGS_GUARD_OPS(EXEC, float)         \
   MGS_GUARD_OPS(EXEC, double)
 
-// MpsExecutorT serves both Scan-MPS and Scan-MPS-direct; four class
-// templates cover the five registry names.
-MGS_GUARD_MATRIX(SpExecutorT)
-MGS_GUARD_MATRIX(MpsExecutorT)
-MGS_GUARD_MATRIX(MppcExecutorT)
-MGS_GUARD_MATRIX(MultinodeExecutorT)
+// The shared protocol base, then the proposals. MpsExecutorT serves both
+// Scan-MPS and Scan-MPS-direct; four class templates cover the five
+// registry names.
+MGS_GUARD_MATRIX(TypedScanExecutor)
+MGS_GUARD_MATRIX(detail::SpExecutorT)
+MGS_GUARD_MATRIX(detail::MpsExecutorT)
+MGS_GUARD_MATRIX(detail::MppcExecutorT)
+MGS_GUARD_MATRIX(detail::MultinodeExecutorT)
 
 // ---- the packed segmented path (outside the erased matrix) -------------
 
@@ -58,22 +60,10 @@ template class mgs::core::detail::MpsExecutorT<
 
 namespace mgs::core::detail {
 
-constexpr FactoryTable kGuardSp = make_table<SpMaker>();
-constexpr FactoryTable kGuardMps = make_table<MpsMaker>();
-constexpr FactoryTable kGuardMpsDirect = make_table<MpsDirectMaker>();
-constexpr FactoryTable kGuardMppc = make_table<MppcMaker>();
-constexpr FactoryTable kGuardMultinode = make_table<MultinodeMaker>();
+constexpr FactoryTable kGuardTable = make_table();
 
-static_assert(table_is_dense(kGuardSp),
-              "Scan-SP factory table has an unfilled (dtype, op) cell");
-static_assert(table_is_dense(kGuardMps),
-              "Scan-MPS factory table has an unfilled (dtype, op) cell");
-static_assert(table_is_dense(kGuardMpsDirect),
-              "Scan-MPS-direct factory table has an unfilled cell");
-static_assert(table_is_dense(kGuardMppc),
-              "Scan-MP-PC factory table has an unfilled (dtype, op) cell");
-static_assert(table_is_dense(kGuardMultinode),
-              "Scan-MPS-multinode factory table has an unfilled cell");
+static_assert(table_is_dense(kGuardTable),
+              "executor factory table has an unfilled (dtype, op) cell");
 
 }  // namespace mgs::core::detail
 
@@ -99,7 +89,7 @@ int main() {
     }
   }
   std::printf("instantiation guard: %d erased constructions dispatched, "
-              "all factory tables dense\n",
+              "factory table dense\n",
               built);
   return 0;
 }

@@ -19,6 +19,7 @@
 #include "mgs/topo/transfer.hpp"
 #include "mgs/topo/topology.hpp"
 #include "mgs/util/random.hpp"
+#include "pin_dump.hpp"
 
 namespace mc = mgs::core;
 namespace ms = mgs::sim;
@@ -120,6 +121,29 @@ TEST(FaultPlanParser, RejectsMalformedSpecs) {
   EXPECT_THROW(ms::parse_fault_plan("link-down:src=0"), mgs::util::Error);
   EXPECT_THROW(ms::parse_fault_plan("straggler:factor=2"), mgs::util::Error);
   EXPECT_THROW(ms::parse_fault_plan("transient"), mgs::util::Error);
+  // retries drives a 2^attempt backoff: [0, 62] keeps the shift defined.
+  EXPECT_EQ(ms::parse_fault_plan("policy:retries=62").max_retries, 62);
+  EXPECT_EQ(ms::parse_fault_plan("policy:retries=0").max_retries, 0);
+  for (const char* bad : {"policy:retries=63", "policy:retries=70",
+                          "policy:retries=-1", "policy:retries=2.5"}) {
+    EXPECT_THROW(ms::parse_fault_plan(bad), mgs::util::Error) << bad;
+  }
+  ms::FaultPlan too_many;
+  too_many.max_retries = 63;
+  EXPECT_THROW(ms::FaultInjector{too_many}, mgs::util::Error);
+  // Integer keys take finite integers in int range, nothing else.
+  for (const char* bad :
+       {"device-down:dev=nan", "device-down:dev=inf", "device-down:dev=1.5",
+        "device-down:dev=1e3", "link-down:src=0,dst=3000000000",
+        "transient:op=-3000000000", "transient:op=0,count=nan",
+        "straggler:dev=99999999999999999999"}) {
+    EXPECT_THROW(ms::parse_fault_plan(bad), mgs::util::Error) << bad;
+  }
+  for (const char* bad : {"policy:seed=-1", "policy:seed=1.5",
+                          "policy:seed=18446744073709551616",
+                          "policy:seed=abc"}) {
+    EXPECT_THROW(ms::parse_fault_plan(bad), mgs::util::Error) << bad;
+  }
 }
 
 TEST(FaultPlanParser, ToSpecRoundTripsExactly) {
@@ -164,6 +188,24 @@ TEST(FaultPlanParser, ToSpecRoundTripsExactly) {
   EXPECT_EQ(q.events[0].factor, ev.factor);
 
   EXPECT_TRUE(ms::to_spec(ms::FaultPlan{}).empty());
+
+  // The seed is an exact 64-bit integer: a policy clause without seed=
+  // keeps the default, and seeds above 2^53 survive bit-for-bit.
+  EXPECT_EQ(ms::parse_fault_plan("policy:retries=1").seed,
+            ms::FaultPlan{}.seed);
+  EXPECT_EQ(ms::to_spec(ms::parse_fault_plan("transient:prob=0.5;"
+                                             "policy:retries=1")),
+            "transient:prob=0.5;policy:retries=1");
+  for (const std::uint64_t seed :
+       {std::uint64_t{0}, (std::uint64_t{1} << 53) + 1,
+        std::uint64_t{0xffffffffffffffffull},
+        std::uint64_t{0x9e3779b97f4a7c15ull} + 1}) {
+    ms::FaultPlan sp;
+    sp.seed = seed;
+    const std::string text = ms::to_spec(sp);
+    EXPECT_EQ(text, "policy:seed=" + std::to_string(seed));
+    EXPECT_EQ(ms::parse_fault_plan(text).seed, seed) << text;
+  }
 }
 
 TEST(FaultReport, SummaryDistinguishesHealthyRecoveredDegraded) {
@@ -661,4 +703,290 @@ TEST(ExecutorFaults, ComputeStragglerOnTheMasterEveryProposal) {
                 1e-12 + 1e-9 * slow.seconds)
         << p.name;
   }
+}
+
+// ------------------------------------------------------- pinned recoveries
+//
+// Exact outcome of every multi-GPU executor's mid-run recovery: a
+// device-down of a non-master and of the master at the midpoint of one
+// stage of the healthy trace, plus a prepare-time loss that collapses a
+// placement to Scan-SP. Each case pins the makespan (%.17g, so a string
+// match is a bit-for-bit match), the whole FaultReport, the plan span's
+// placement description and every kFault span (replan, restart, resume)
+// with its notes. Restructuring how executors recover must leave these
+// untouched; a change meant to move them re-pins deliberately.
+
+namespace {
+
+constexpr std::int64_t kRecN = 1 << 14;
+constexpr std::int64_t kRecG = 4;
+
+std::vector<std::string> recovery_lines(
+    const mc::RunResult& r, const std::vector<mgs::obs::SpanRecord>& spans) {
+  const ms::FaultReport& f = r.faults;
+  const ms::FaultCounters& c = f.counters;
+  std::vector<std::string> lines;
+  lines.push_back("seconds " + pin_num(r.seconds));
+  lines.push_back("degraded " + std::to_string(f.degraded ? 1 : 0));
+  lines.push_back("mode " + f.degraded_mode);
+  std::string excluded = "excluded";
+  for (int d : f.excluded_devices) excluded += " " + std::to_string(d);
+  lines.push_back(excluded);
+  for (const auto& s : f.replanned) lines.push_back("replanned " + s);
+  for (const auto& s : f.resumed_stages) lines.push_back("resumed " + s);
+  lines.push_back("invalidated " + std::to_string(f.invalidated_plans));
+  lines.push_back(
+      "counters transient=" + std::to_string(c.transient_failures) +
+      " retries=" + std::to_string(c.retries) +
+      " timeouts=" + std::to_string(c.timeouts) +
+      " corrupt=" + std::to_string(c.corruptions_detected) +
+      " rerouted=" + std::to_string(c.rerouted_transfers) + "/" +
+      std::to_string(c.rerouted_bytes) + " retry_s=" +
+      pin_num(c.retry_seconds));
+  for (const auto& s : spans) {
+    if (s.kind == mgs::obs::SpanKind::kPlan) {
+      for (const auto& [k, v] : s.notes) lines.push_back("plan " + k + "=" + v);
+    }
+    if (s.kind != mgs::obs::SpanKind::kFault) continue;
+    std::string line = "fault " + s.name + "@" + std::to_string(s.device) +
+                       " " + pin_num(s.start_seconds);
+    for (const auto& [k, v] : s.notes) line += " " + k + "=" + v;
+    lines.push_back(line);
+  }
+  return lines;
+}
+
+struct RecoveryRun {
+  std::vector<std::string> lines;
+  std::vector<mgs::obs::SpanRecord> spans;
+  bool output_ok = false;
+};
+
+RecoveryRun run_recovery(const Factory& make, int nodes,
+                         const ms::FaultPlan* plan) {
+  const auto data =
+      mgs::util::random_i32(static_cast<std::size_t>(kRecN * kRecG), 71);
+  auto cluster = mt::tsubame_kfc_cluster(nodes);
+  std::unique_ptr<ms::FaultInjector> fi;
+  if (plan != nullptr) {
+    fi = std::make_unique<ms::FaultInjector>(*plan);
+    cluster.set_fault_injector(fi.get());
+  }
+  mgs::obs::TraceSession ts;
+  mc::ScanContext ctx(cluster);
+  auto ex = make(ctx);
+  ex->prepare(kRecN, kRecG);
+  std::vector<std::int32_t> out(data.size());
+  const mc::RunResult r = ex->run(data, out, mc::ScanKind::kInclusive);
+  RecoveryRun rr;
+  rr.spans = ts.spans();
+  rr.lines = recovery_lines(r, rr.spans);
+  rr.output_ok = out == reference_batch_scan<std::int32_t>(
+                            data, kRecN, kRecG, mc::ScanKind::kInclusive);
+  return rr;
+}
+
+/// Kill `device` at the midpoint of the healthy run's first `stage` span
+/// and pin the recovered run.
+void check_recovery(const Factory& make, int nodes, const char* stage,
+                    int device, const char* expected) {
+  SCOPED_TRACE(std::string(stage) + " dev " + std::to_string(device));
+  const RecoveryRun healthy = run_recovery(make, nodes, nullptr);
+  ASSERT_TRUE(healthy.output_ok);
+  const double at = stage_midpoint(healthy.spans, stage);
+  ASSERT_GT(at, 0.0);
+  ms::FaultPlan plan;
+  ms::FaultEvent ev;
+  ev.kind = ms::FaultKind::kDeviceDown;
+  ev.device = device;
+  ev.at_seconds = at;
+  plan.events.push_back(ev);
+  const RecoveryRun r = run_recovery(make, nodes, &plan);
+  EXPECT_TRUE(r.output_ok);
+  expect_pinned(r.lines, expected);
+}
+
+Factory mps4(mc::PipelineMode mode) {
+  return [mode](mc::ScanContext& c) {
+    return mc::make_mps_executor(c, 4, false, mc::PipelineChoice{mode, 0});
+  };
+}
+
+const Factory kMpsDirect4 = [](mc::ScanContext& c) {
+  return mc::make_mps_executor(c, 4, true);
+};
+const Factory kMppcY2V4 = [](mc::ScanContext& c) {
+  return mc::make_mppc_executor(c, 2, 4);
+};
+const Factory kMultinode2x4 = [](mc::ScanContext& c) {
+  return mc::make_multinode_executor(c, 2, 4);
+};
+
+}  // namespace
+
+TEST(RecoveryPins, MpsSyncNonMaster) {
+  check_recovery(mps4(mc::PipelineMode::kSync), 1, "Stage2", 1, R"(
+seconds 0.00010719467340067342
+degraded 1
+mode Scan-MPS: lost device 1 mid-run, resumed from Stage2
+excluded 1
+replanned Scan-MPS: lost device 1 mid-run, resumed from Stage2
+resumed Stage2
+invalidated 0
+counters transient=0 retries=0 timeouts=0 corrupt=0 rerouted=0/0 retry_s=0
+plan config=Scan-MPS over 4 GPUs of node 0 (master 0) [i32/plus]; n=16384 g=4; stage1/3: (s=2, p=3, l=7, K=1) [P=8, Lx=128, chunk=1024, regs=64]; stage2: (lx=32, ly=4, p=8); pipeline: synchronous
+fault resume@1 3.944105185185185e-05 executor=Scan-MPS dead=1 boundary=Stage2 portions=1 master=kept
+)");
+}
+TEST(RecoveryPins, MpsSyncMaster) {
+  check_recovery(mps4(mc::PipelineMode::kSync), 1, "Stage2", 0, R"(
+seconds 0.00013854932525252523
+degraded 1
+mode Scan-MPS: lost device 0 mid-run, resumed from Stage1
+excluded 0
+replanned Scan-MPS: lost device 0 mid-run, resumed from Stage1
+resumed Stage1
+invalidated 0
+counters transient=0 retries=0 timeouts=0 corrupt=0 rerouted=0/0 retry_s=0
+plan config=Scan-MPS over 4 GPUs of node 0 (master 0) [i32/plus]; n=16384 g=4; stage1/3: (s=2, p=3, l=7, K=1) [P=8, Lx=128, chunk=1024, regs=64]; stage2: (lx=32, ly=4, p=8); pipeline: synchronous
+fault resume@0 3.8400311111111108e-05 executor=Scan-MPS dead=0 boundary=Stage1 portions=1 master=replaced
+)");
+}
+TEST(RecoveryPins, MpsOverlapNonMaster) {
+  check_recovery(mps4(mc::PipelineMode::kOverlap), 1, "Stage2+Comm", 2, R"(
+seconds 8.3041665993265995e-05
+degraded 1
+mode Scan-MPS: lost device 2 mid-run, resumed from Stage2
+excluded 2
+replanned Scan-MPS: lost device 2 mid-run, resumed from Stage2
+resumed Stage2
+invalidated 0
+counters transient=0 retries=0 timeouts=0 corrupt=0 rerouted=0/0 retry_s=0
+plan config=Scan-MPS over 4 GPUs of node 0 (master 0) [i32/plus]; n=16384 g=4; stage1/3: (s=2, p=3, l=7, K=1) [P=8, Lx=128, chunk=1024, regs=64]; stage2: (lx=32, ly=4, p=8); pipeline: overlapped, waves=1
+fault resume@2 2.6864548148148144e-05 executor=Scan-MPS dead=2 boundary=Stage2 portions=1 master=kept
+)");
+}
+TEST(RecoveryPins, MpsOverlapMaster) {
+  check_recovery(mps4(mc::PipelineMode::kOverlap), 1, "Stage2+Comm", 0, R"(
+seconds 0.00010844481414141414
+degraded 1
+mode Scan-MPS: lost device 0 mid-run, resumed from Stage1
+excluded 0
+replanned Scan-MPS: lost device 0 mid-run, resumed from Stage1
+resumed Stage1
+invalidated 0
+counters transient=0 retries=0 timeouts=0 corrupt=0 rerouted=0/0 retry_s=0
+plan config=Scan-MPS over 4 GPUs of node 0 (master 0) [i32/plus]; n=16384 g=4; stage1/3: (s=2, p=3, l=7, K=1) [P=8, Lx=128, chunk=1024, regs=64]; stage2: (lx=32, ly=4, p=8); pipeline: overlapped, waves=1
+fault resume@0 2.6864548148148144e-05 executor=Scan-MPS dead=0 boundary=Stage1 portions=1 master=replaced
+)");
+}
+TEST(RecoveryPins, MpsDirectNonMaster) {
+  check_recovery(kMpsDirect4, 1, "Stage2", 1, R"(
+seconds 3.58280074074074e-05
+degraded 1
+mode Scan-MPS-direct W=2
+excluded 1
+replanned Scan-MPS-direct: W=4 -> 2
+replanned Scan-MPS-direct: lost device 1 mid-run (restarted on survivors)
+invalidated 0
+counters transient=0 retries=0 timeouts=0 corrupt=0 rerouted=0/0 retry_s=0
+plan config=Scan-MPS-direct over 4 GPUs of node 0 (master 0) [i32/plus]; n=16384 g=4; stage1/3: (s=2, p=3, l=7, K=1) [P=8, Lx=128, chunk=1024, regs=64]; stage2: (lx=32, ly=4, p=8); pipeline: overlapped, waves=1
+fault restart@1 1.8415844444444443e-05 executor=Scan-MPS-direct dead=1
+)");
+}
+TEST(RecoveryPins, MpsDirectMaster) {
+  check_recovery(kMpsDirect4, 1, "Stage2", 0, R"(
+seconds 3.58280074074074e-05
+degraded 1
+mode Scan-MPS-direct W=2
+excluded 0
+replanned Scan-MPS-direct: W=4 -> 2
+replanned Scan-MPS-direct: lost device 0 mid-run (restarted on survivors)
+invalidated 0
+counters transient=0 retries=0 timeouts=0 corrupt=0 rerouted=0/0 retry_s=0
+plan config=Scan-MPS-direct over 4 GPUs of node 0 (master 0) [i32/plus]; n=16384 g=4; stage1/3: (s=2, p=3, l=7, K=1) [P=8, Lx=128, chunk=1024, regs=64]; stage2: (lx=32, ly=4, p=8); pipeline: overlapped, waves=1
+fault restart@0 1.7375103703703701e-05 executor=Scan-MPS-direct dead=0
+)");
+}
+TEST(RecoveryPins, MppcNonMaster) {
+  check_recovery(kMppcY2V4, 1, "Stage1", 1, R"(
+seconds 3.8505762962962961e-05
+degraded 1
+mode Scan-MP-PC 2 groups x V=2
+excluded 1
+replanned Scan-MP-PC: V=4 -> 2, groups -> 2
+replanned Scan-MP-PC: lost device 1 mid-run (restarted on survivors)
+invalidated 0
+counters transient=0 retries=0 timeouts=0 corrupt=0 rerouted=0/0 retry_s=0
+plan config=Scan-MP-PC with Y=2 networks/node, V=4 GPUs/network, M=1 nodes [i32/plus] (2 groups); n=16384 g=4; stage1/3: (s=2, p=3, l=7, K=1) [P=8, Lx=128, chunk=1024, regs=64]; stage2: (lx=32, ly=4, p=8); pipeline: overlapped, waves=1
+fault restart@1 7.4837037037037027e-06 executor=Scan-MP-PC dead=1
+)");
+}
+TEST(RecoveryPins, MppcMaster) {
+  check_recovery(kMppcY2V4, 1, "Stage1", 0, R"(
+seconds 3.8505762962962961e-05
+degraded 1
+mode Scan-MP-PC 2 groups x V=2
+excluded 0
+replanned Scan-MP-PC: V=4 -> 2, groups -> 2
+replanned Scan-MP-PC: lost device 0 mid-run (restarted on survivors)
+invalidated 0
+counters transient=0 retries=0 timeouts=0 corrupt=0 rerouted=0/0 retry_s=0
+plan config=Scan-MP-PC with Y=2 networks/node, V=4 GPUs/network, M=1 nodes [i32/plus] (2 groups); n=16384 g=4; stage1/3: (s=2, p=3, l=7, K=1) [P=8, Lx=128, chunk=1024, regs=64]; stage2: (lx=32, ly=4, p=8); pipeline: overlapped, waves=1
+fault restart@0 7.4633333333333327e-06 executor=Scan-MP-PC dead=0
+)");
+}
+TEST(RecoveryPins, MultinodeNonMaster) {
+  // Device 9 is rank 5, on the second node.
+  check_recovery(kMultinode2x4, 2, "Stage1", 9, R"(
+seconds 0.00022986687407407404
+degraded 1
+mode Scan-MPS-multinode on 4 ranks
+excluded 9
+replanned Scan-MPS-multinode: ranks 8 -> 4 (3 surviving ranks idled so ranks divide N)
+replanned Scan-MPS-multinode: lost device 9 mid-run (restarted on survivors)
+invalidated 0
+counters transient=0 retries=0 timeouts=0 corrupt=0 rerouted=0/0 retry_s=0
+plan config=Scan-MPS-multinode over 2 nodes x 4 GPUs (one MPI rank per GPU) [i32/plus]; n=16384 g=4; stage1/3: (s=2, p=3, l=7, K=1) [P=8, Lx=128, chunk=1024, regs=64]; stage2: (lx=32, ly=4, p=8); pipeline: overlapped, waves=1
+fault restart@9 9.7479017989417986e-05 executor=Scan-MPS-multinode rank=5 dead=9
+)");
+}
+TEST(RecoveryPins, MultinodeMaster) {
+  check_recovery(kMultinode2x4, 2, "Stage1", 0, R"(
+seconds 0.00031250454603174598
+degraded 1
+mode Scan-MPS-multinode on 4 ranks
+excluded 0
+replanned Scan-MPS-multinode: ranks 8 -> 4 (3 surviving ranks idled so ranks divide N)
+replanned Scan-MPS-multinode: lost device 0 mid-run (restarted on survivors)
+invalidated 0
+counters transient=0 retries=0 timeouts=0 corrupt=0 rerouted=0/0 retry_s=0
+plan config=Scan-MPS-multinode over 2 nodes x 4 GPUs (one MPI rank per GPU) [i32/plus]; n=16384 g=4; stage1/3: (s=2, p=3, l=7, K=1) [P=8, Lx=128, chunk=1024, regs=64]; stage2: (lx=32, ly=4, p=8); pipeline: overlapped, waves=1
+fault restart@0 9.7463333333333319e-05 executor=Scan-MPS-multinode rank=0 dead=0
+)");
+}
+// Prepare-time loss: one of Scan-MPS's two GPUs is down before the run,
+// so the placement collapses to Scan-SP on the survivor.
+TEST(RecoveryPins, PrepareLossCollapsesToScanSp) {
+  const Factory mps2 = [](mc::ScanContext& c) {
+    return mc::make_mps_executor(c, 2);
+  };
+  ms::FaultPlan plan;
+  ms::FaultEvent ev;
+  ev.kind = ms::FaultKind::kDeviceDown;
+  ev.device = 1;
+  plan.events.push_back(ev);
+  const RecoveryRun r = run_recovery(mps2, 1, &plan);
+  EXPECT_TRUE(r.output_ok);
+  expect_pinned(r.lines, R"(
+seconds 2.141185185185185e-05
+degraded 1
+mode Scan-SP on device 0
+excluded 1
+replanned Scan-MPS: W=2 -> 1
+invalidated 0
+counters transient=0 retries=0 timeouts=0 corrupt=0 rerouted=0/0 retry_s=0
+plan config=Scan-MPS over 1 GPUs of node 0 (master 0) [i32/plus]; n=16384 g=4; stage1/3: (s=3, p=2, l=8, K=1) [P=4, Lx=256, chunk=1024, regs=40]; stage2: (lx=32, ly=4, p=8); pipeline: synchronous [degraded: Scan-SP on device 0]
+fault replan@-1 0 mode=Scan-SP on device 0 step=Scan-MPS: W=2 -> 1
+)");
 }

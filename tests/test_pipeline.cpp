@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <functional>
 #include <memory>
 #include <string>
@@ -22,6 +21,7 @@
 #include "mgs/sim/fault.hpp"
 #include "mgs/topo/topology.hpp"
 #include "mgs/util/random.hpp"
+#include "pin_dump.hpp"
 
 namespace mc = mgs::core;
 namespace mo = mgs::obs;
@@ -334,12 +334,6 @@ std::unique_ptr<mc::ScanExecutor> make_pinned(mc::ScanContext& ctx,
   return nullptr;
 }
 
-std::string pin_num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
 /// Render everything a pinned case fixes, one fact per line.
 std::vector<std::string> pin_lines(const mc::RunResult& r,
                                    const std::vector<mo::SpanRecord>& spans) {
@@ -408,34 +402,6 @@ PinRun run_pinned(PinProposal p, mc::PipelineChoice pipe, mc::DType dt,
                                                   mc::ScanKind::kInclusive);
   }
   return pr;
-}
-
-/// Line-by-line exact comparison; on any mismatch the whole actual dump
-/// is printed so a deliberate re-pin is a copy-paste.
-void expect_pinned(const std::vector<std::string>& actual,
-                   const char* expected) {
-  std::vector<std::string> want;
-  std::string cur;
-  for (const char* c = expected; *c != '\0'; ++c) {
-    if (*c == '\n') {
-      if (!cur.empty()) want.push_back(cur);
-      cur.clear();
-    } else {
-      cur += *c;
-    }
-  }
-  if (!cur.empty()) want.push_back(cur);
-  bool same = actual.size() == want.size();
-  for (std::size_t i = 0; i < std::min(actual.size(), want.size()); ++i) {
-    EXPECT_EQ(actual[i], want[i]) << "pin line " << i;
-    same = same && actual[i] == want[i];
-  }
-  EXPECT_EQ(actual.size(), want.size());
-  if (!same) {
-    std::string dump;
-    for (const auto& l : actual) dump += l + "\n";
-    ADD_FAILURE() << "actual pin dump:\n" << dump;
-  }
 }
 
 struct PinCase {
