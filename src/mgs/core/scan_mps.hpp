@@ -81,16 +81,11 @@ std::vector<GpuBatch<T>> distribute_batch(topo::Cluster& cluster,
   const int w = static_cast<int>(gpus.size());
   MGS_REQUIRE(w > 0, "distribute_batch: need at least one GPU");
   MGS_REQUIRE(n % w == 0, "distribute_batch: N must be divisible by W");
-  const std::int64_t n_local = n / w;
   std::vector<GpuBatch<T>> batches;
-  batches.reserve(static_cast<std::size_t>(w));
-  for (int d = 0; d < w; ++d) {
-    GpuBatch<T> b;
-    b.in = cluster.device(gpus[static_cast<std::size_t>(d)])
-               .template alloc<T>(n_local * g);
-    b.out = cluster.device(gpus[static_cast<std::size_t>(d)])
-                .template alloc<T>(n_local * g);
-    batches.push_back(std::move(b));
+  for (int d : gpus) {
+    simt::Device& dev = cluster.device(d);
+    batches.push_back({dev.template alloc<T>(n / w * g),
+                       dev.template alloc<T>(n / w * g)});
   }
   scatter_batch(host, batches, n, g);
   return batches;
@@ -105,24 +100,26 @@ std::vector<T> collect_batch(const std::vector<GpuBatch<T>>& batches,
   return host;
 }
 
-/// Stage-granular checkpoint for Scan-MPS. The scan records its progress
-/// here per (wave, portion) cell and at every stage boundary, so a mid-run
-/// device/link failure unwinds with the completed work intact: the
-/// executor's recovery driver remaps the dead device's portions onto a
-/// survivor, regresses exactly the flags whose backing state died, and
-/// calls the scan again -- it continues from the last completed boundary
-/// instead of restarting. Passing no checkpoint (the default) uses a
-/// function-local one, so a first pass computes every boundary instant
-/// from the same clock maxima whether or not a checkpoint is kept.
+/// Stage-granular checkpoint for Scan-MPS (either fabric). The scan
+/// records its progress here per (wave, portion) cell and at every stage
+/// boundary, so a mid-run device/link failure unwinds with the completed
+/// work intact: the executor's recovery driver remaps the dead device's
+/// portions onto a survivor, regresses exactly the flags whose backing
+/// state died, and calls the scan again -- it continues from the last
+/// completed boundary instead of restarting. Passing no checkpoint (the
+/// default) uses a function-local one, so a first pass computes every
+/// boundary instant from the same clock maxima whether or not a checkpoint
+/// is kept.
 template <typename T>
 struct MpsCheckpoint {
   bool active = false;  ///< initialized by a scan call; false when consumed
   int w = 0;
   int k = 1;  ///< waves
   double t0 = 0.0;
+  double entered = 0.0;  ///< end of the fabric's entry step (t0 if none)
   double last_boundary = 0.0;  ///< latest completed stage boundary
   RunResult partial;           ///< breakdown accumulated so far
-  sim::FaultCounters counters; ///< transfer counters incl. aborted attempts
+  sim::FaultCounters counters; ///< fabric counters incl. aborted attempts
 
   /// Device-resident partial state. aux_local holds the raw Stage-1 chunk
   /// reductions; prefix_local receives the scanned prefixes scattered
@@ -168,17 +165,16 @@ struct MpsCheckpoint {
 
 namespace detail {
 
-/// How the one three-kernel body of Scan-MPS (and of its multinode form)
-/// runs, derived from plan.pipe alone. The synchronous schedule -- chosen
-/// when the plan does not overlap or there is a single participant -- is
-/// one wave, blocking copies (compute-engine accounting; each copy's
-/// completion is its event), one Stage-2 column group per wave covering
-/// every portion without a carry, a stage cut after the gather, Stage 2 and
-/// the scatter, and an entry instant from the compute clocks only: the
-/// paper's Figure-14 phases. The overlapped schedule splits G into waves,
-/// queues copies on the DMA engines behind their producers' events, scans
-/// one column group per portion carrying the running row prefix, and cuts
-/// the communication once (Stage2+Comm).
+/// How the one three-kernel body of Scan-MPS runs, derived from plan.pipe
+/// alone. The synchronous schedule -- chosen when the plan does not
+/// overlap or there is a single participant -- is one wave, blocking moves
+/// (each completion is its event), one carry-less Stage-2 column group per
+/// wave, a stage cut after the gather, Stage 2 and the scatter, and an
+/// entry instant from the compute clocks only: the paper's Figure-14
+/// phases. The overlapped schedule splits G into waves, queues moves on
+/// the DMA engines behind their producers' events, scans one column group
+/// per portion carrying the running row prefix, and cuts the
+/// communication once (Stage2+Comm).
 struct Schedule {
   bool sync = true;
   int waves = 1;
@@ -208,144 +204,140 @@ void stage_window(sim::Breakdown& rows, double& boundary, double front,
   boundary = t_out;
 }
 
-}  // namespace detail
+/// Scan-MPS's fabric on one node: the transfer engine over a GPU list.
+/// The master's aux array is problem-major ([g][d][c]), so a row is
+/// contiguous for the coalesced Stage-2 scan, and each (wave, portion)
+/// cell moves as one strided 2-D copy. No entry or exit step.
+template <typename T>
+struct CopyFabric {
+  static constexpr bool kCollectives = false;
+  static constexpr const char* kGather = "AuxGather";
+  static constexpr const char* kScatter = "AuxScatter";
 
-/// Run Scan-MPS over `gpus` (gpus[0] is the master). Batches must follow
-/// the distribute_batch layout. Returns the simulated makespan across the
-/// participating GPUs plus the phase breakdown. When `ws` is given, the
-/// auxiliary arrays are leased from it instead of allocated per call.
-///
-/// One event-driven body over (wave, portion) cells runs both schedules
-/// of detail::Schedule. Each GPU's wave of chunk reductions is gathered
-/// into the master's problem-major array ([g][d][c]) once its Stage 1 is
-/// done; the master scans each column group of a wave once its gathers
-/// arrived, and the scanned prefixes return to separate per-GPU arrays
-/// (the raw reductions stay valid for a re-gather if the master dies), so
-/// Stage 3 starts per GPU per wave on arrival. Column groups of one row
-/// run in ascending portion order on the master's in-order compute
-/// engine, so every schedule applies the operator in the same order and
-/// the output is bit-identical. Stage 2 stays on the master (empirically
-/// better than splitting it across GPUs, per Section 4.1). Every cell
-/// records its progress in the checkpoint, so a resume skips the cells
-/// whose data already lives (or landed) where the next stage needs it.
-template <typename T, typename Op = Plus<T>>
-RunResult scan_mps(topo::Cluster& cluster, const std::vector<int>& gpus,
-                   std::vector<GpuBatch<T>>& batches, std::int64_t n,
-                   std::int64_t g, const ScanPlan& plan, ScanKind kind,
-                   Op op = {}, WorkspacePool* ws = nullptr,
-                   MpsCheckpoint<T>* ck = nullptr) {
-  plan.validate();
-  const int w = static_cast<int>(gpus.size());
-  MGS_REQUIRE(w > 0 && static_cast<int>(batches.size()) == w,
-              "scan_mps: one batch per GPU required");
-  MGS_REQUIRE(n % w == 0, "scan_mps: N must be divisible by W");
-  const std::int64_t n_local = n / w;
-  const BatchLayout lay = make_layout(n_local, g, plan.s13);
-  MGS_REQUIRE(lay.bx >= 1,
-              "scan_mps: every GPU needs at least one chunk (Equation 2)");
-  const detail::Schedule sched = detail::schedule_of(plan.pipe, w, g);
+  topo::Cluster& cluster;
+  std::vector<int> devices;  ///< participant -> device; [0] is the master
+  std::int64_t bx = 0;
+  std::int64_t g = 0;
+  topo::TransferEngine xfer{cluster};
+
+  const sim::FaultCounters& fault_counters() const {
+    return xfer.fault_counters();
+  }
+  /// Stage 2 over rows [g0, g0 + rows), columns [c0, c0 + cols).
+  template <typename Op>
+  void scan(simt::Device& master, simt::DeviceBuffer<T>& all,
+            const StagePlan& s2, Op op, std::int64_t g0, std::int64_t rows,
+            std::int64_t c0, std::int64_t cols, simt::DeviceBuffer<T>* carry) {
+    launch_intermediate_scan(master, all, bx * std::ssize(devices), g, s2,
+                             op, g0, rows, c0, cols, carry);
+  }
+  /// Move rows [g0, g0 + rows) of portion d to the master (`gather`) or
+  /// back: blocking, or queued on the DMA engines behind `ready`.
+  simt::Event move(bool gather, int d, simt::DeviceBuffer<T>& local,
+                   simt::DeviceBuffer<T>& all, std::int64_t g0,
+                   std::int64_t rows, simt::Event ready, bool blocking) {
+    struct End {
+      simt::DeviceBuffer<T>* buf;
+      std::int64_t off;
+      std::int64_t stride;
+    };
+    const std::int64_t row_len = bx * std::ssize(devices);
+    End src{&local, g0 * bx, bx};
+    End dst{&all, g0 * row_len + d * bx, row_len};
+    if (!gather) std::swap(src, dst);
+    if (!blocking) {
+      return xfer.copy_2d_async(*dst.buf, dst.off, dst.stride, *src.buf,
+                                src.off, src.stride, rows, bx, ready).done;
+    }
+    xfer.copy_2d(*dst.buf, dst.off, dst.stride, *src.buf, src.off,
+                 src.stride, rows, bx);
+    return {cluster.device(dst.buf->device_id()).clock().now()};
+  }
+  template <typename Front>
+  double enter(double t0, Front&&) { return t0; }
+  template <typename Front>
+  double leave(double t, double, sim::Breakdown&, Front&&) { return t; }
+};
+
+/// The one body of Scan-MPS, over a fabric (CopyFabric above, MpiFabric
+/// in scan_multinode.hpp) and the (wave, portion) cells of a Schedule.
+/// Each cell's chunk reductions move to the master once its Stage 1 is
+/// done; the master scans a column group once its gathers arrived, and the
+/// prefixes return to separate per-portion arrays (the raw reductions stay
+/// valid for a re-gather if the master dies), so Stage 3 starts per cell
+/// on arrival. Column groups of a row run in ascending portion order on
+/// the master's in-order engine, so every schedule and fabric applies the
+/// operator in the same order: outputs are bit-identical. Stage 2 stays on
+/// the master (Section 4.1). The checkpoint's per-cell flags let a resume
+/// skip cells whose data already lives where the next stage needs it.
+template <typename T, typename Op, typename Fabric>
+RunResult scan_mps_cells(Fabric& fab, std::vector<GpuBatch<T>>& batches,
+                         const BatchLayout& lay, const ScanPlan& plan,
+                         ScanKind kind, Op op, WorkspacePool* ws,
+                         MpsCheckpoint<T>* ck) {
+  const int w = static_cast<int>(fab.devices.size());
+  const std::int64_t g = lay.g;
+  const Schedule sched = schedule_of(plan.pipe, w, g);
   const int k = sched.waves;
   const auto wave_begin = [&](int v) { return (g * v) / k; };
   MpsCheckpoint<T> local_ck;
   MpsCheckpoint<T>& c = ck != nullptr ? *ck : local_ck;
 
-  topo::TransferEngine xfer(cluster);
-  auto compute_front = [&] {
+  const auto device = [&](int d) -> simt::Device& {
+    return fab.cluster.device(fab.devices[static_cast<std::size_t>(d)]);
+  };
+  const auto compute_front = [&] {
     double t = 0.0;
-    for (int d : gpus) t = std::max(t, cluster.device(d).clock().now());
+    for (int d = 0; d < w; ++d) t = std::max(t, device(d).clock().now());
     return t;
   };
-
-  if (!c.active) {
-    c.active = true;
-    c.w = w;
-    c.k = k;
-    c.partial = RunResult{};
-    c.partial.payload_bytes =
-        2ull * static_cast<std::uint64_t>(n) * g * sizeof(T);
-    // Entry instant. The overlapped schedule queues copies on the DMA
-    // engines, so it also waits for those (free-function calls may arrive
-    // with clocks already advanced).
-    double t0 = compute_front();
-    if (!sched.sync) {
-      for (int d : gpus) {
-        t0 = std::max(t0, cluster.device(d).dma_clock().now());
-      }
-    }
-    c.t0 = t0;
-    c.last_boundary = t0;
-    const auto cells = static_cast<std::size_t>(k * w);
-    c.s1_done.assign(static_cast<std::size_t>(w), 0);
-    c.gathered.assign(cells, 0);
-    c.scanned.assign(cells, 0);
-    c.scattered.assign(cells, 0);
-    c.ev_s1.assign(cells, simt::Event{});
-    c.ev_gather.assign(cells, simt::Event{});
-    c.ev_scatter.assign(cells, simt::Event{});
-    c.aux_local.clear();
-    c.prefix_local.clear();
-    for (int d = 0; d < w; ++d) {
-      simt::Device& dev = cluster.device(gpus[static_cast<std::size_t>(d)]);
-      c.aux_local.push_back(acquire_workspace<T>(ws, dev, lay.aux_elems()));
-      c.prefix_local.push_back(
-          acquire_workspace<T>(ws, dev, lay.aux_elems()));
-    }
-    simt::Device& master_dev0 = cluster.device(gpus[0]);
-    c.aux_all = acquire_workspace<T>(ws, master_dev0, g * w * lay.bx);
-    if (!sched.sync) c.carry = acquire_workspace<T>(ws, master_dev0, g);
-  }
-  MGS_REQUIRE(c.w == w && c.k == k,
-              "scan_mps: checkpoint shape mismatch on resume");
-
-  const int master = gpus[0];
-  simt::Device& master_dev = cluster.device(master);
-  simt::Stream master_stream(master_dev);
-  const std::int64_t row_len = static_cast<std::int64_t>(w) * lay.bx;
   const auto cell = [w](int v, int d) {
     return static_cast<std::size_t>(v * w + d);
   };
   const auto pending = [](const std::vector<char>& f) {
     return std::any_of(f.begin(), f.end(), [](char x) { return x == 0; });
   };
-  const auto window = [&](const char* name, int device, auto body) {
-    detail::stage_window(c.partial.breakdown, c.last_boundary,
-                         compute_front(), name, device, body);
+  // A stage window closed at the compute front once `body` returns.
+  const auto phase = [&](const char* name, int dev, auto body) {
+    stage_window(c.partial.breakdown, c.last_boundary, compute_front(), name,
+                 dev, [&] {
+                   body();
+                   return compute_front();
+                 });
+  };
+  const auto at = [](std::vector<WorkspacePool::Handle<T>>& h, int d)
+      -> simt::DeviceBuffer<T>& { return h[static_cast<std::size_t>(d)]; };
+  const auto all_done = [](std::vector<simt::Event>& ev,
+                           std::vector<char>& done, simt::Event e) {
+    std::fill(ev.begin(), ev.end(), e);
+    std::fill(done.begin(), done.end(), char{1});
   };
 
-  // ---- Per-cell operations. A copy moves one wave's rows of one portion's
-  // aux slice; blocking copies complete when they return, queued ones
-  // start no earlier than `ready`.
-  const auto copy_cell = [&](simt::DeviceBuffer<T>& dst, std::int64_t dst_off,
-                             std::int64_t dst_stride,
-                             const simt::DeviceBuffer<T>& src,
-                             std::int64_t src_off, std::int64_t src_stride,
-                             std::int64_t rows, simt::Event ready) {
-    if (!sched.sync) {
-      return xfer
-          .copy_2d_async(dst, dst_off, dst_stride, src, src_off, src_stride,
-                         rows, lay.bx, ready)
-          .done;
-    }
-    xfer.copy_2d(dst, dst_off, dst_stride, src, src_off, src_stride, rows,
-                 lay.bx);
-    return simt::Event{cluster.device(dst.device_id()).clock().now()};
-  };
+  // ---- Per-cell moves: one wave's rows of one portion each, unless the
+  // synchronous schedule of a fabric with collectives moves every cell at
+  // once.
   const auto gather_all = [&] {
+    if constexpr (Fabric::kCollectives) {
+      if (sched.sync) {
+        return all_done(c.ev_gather, c.gathered,
+                        fab.move_all(true, c.aux_local, c.aux_all));
+      }
+    }
     for (int v = 0; v < k; ++v) {
       const std::int64_t g0 = wave_begin(v);
       for (int d = 0; d < w; ++d) {
         const auto i = cell(v, d);
         if (c.gathered[i] != 0) continue;
-        c.ev_gather[i] = copy_cell(
-            c.aux_all.buffer(), g0 * row_len + d * lay.bx, row_len,
-            c.aux_local[static_cast<std::size_t>(d)].buffer(), g0 * lay.bx,
-            lay.bx, wave_begin(v + 1) - g0, c.ev_s1[i]);
+        c.ev_gather[i] = fab.move(true, d, at(c.aux_local, d), c.aux_all, g0,
+                                  wave_begin(v + 1) - g0, c.ev_s1[i],
+                                  sched.sync);
         c.gathered[i] = 1;
       }
     }
   };
   // Stage-2 column groups: the whole row (sync) or one portion, each
   // launch gated on the gathers of its cells.
+  simt::Stream master_stream(device(0));
   const int group = sched.sync ? w : 1;
   const auto scan_group = [&](int v, int d0) {
     if (c.scanned[cell(v, d0)] != 0) return;
@@ -353,73 +345,106 @@ RunResult scan_mps(topo::Cluster& cluster, const std::vector<int>& gpus,
       master_stream.wait(c.ev_gather[cell(v, d)]);
     }
     const std::int64_t g0 = wave_begin(v);
-    launch_intermediate_scan(master_dev, c.aux_all.buffer(), row_len, g,
-                             plan.s2, op, g0, wave_begin(v + 1) - g0,
-                             d0 * lay.bx, group * lay.bx,
-                             sched.sync ? nullptr : &c.carry.buffer());
+    fab.scan(master_stream.device(), c.aux_all, plan.s2, op, g0,
+             wave_begin(v + 1) - g0, d0 * lay.bx, group * lay.bx,
+             sched.sync ? nullptr : &c.carry.buffer());
     for (int d = d0; d < d0 + group; ++d) c.scanned[cell(v, d)] = 1;
   };
   const auto scatter = [&](int v, int d) {
     const auto i = cell(v, d);
     if (c.scattered[i] != 0) return;
     const std::int64_t g0 = wave_begin(v);
-    c.ev_scatter[i] = copy_cell(
-        c.prefix_local[static_cast<std::size_t>(d)].buffer(), g0 * lay.bx,
-        lay.bx, c.aux_all.buffer(), g0 * row_len + d * lay.bx, row_len,
-        wave_begin(v + 1) - g0, master_stream.record());
+    c.ev_scatter[i] = fab.move(false, d, at(c.prefix_local, d), c.aux_all,
+                               g0, wave_begin(v + 1) - g0,
+                               master_stream.record(), sched.sync);
     c.scattered[i] = 1;
   };
+  const auto scatter_all = [&] {
+    if constexpr (Fabric::kCollectives) {
+      all_done(c.ev_scatter, c.scattered,
+               fab.move_all(false, c.prefix_local, c.aux_all));
+    } else {
+      for (int d = 0; d < w; ++d) scatter(0, d);
+    }
+  };
 
+  double t_end = 0.0;
   try {
-    // ---- Stage 1 per GPU per wave; each wave records the event its
+    if (!c.active) {
+      c.w = w;
+      c.k = k;
+      c.partial = RunResult{};
+      c.partial.payload_bytes =
+          2ull * static_cast<std::uint64_t>(lay.n_local * w) * g * sizeof(T);
+      // Entry instant. The overlapped schedule queues moves on the DMA
+      // engines, so it also waits for those (free-function calls may
+      // arrive with clocks already advanced).
+      c.t0 = compute_front();
+      for (int d = 0; d < w && !sched.sync; ++d) {
+        c.t0 = std::max(c.t0, device(d).dma_clock().now());
+      }
+      const auto cells = static_cast<std::size_t>(k * w);
+      c.s1_done.assign(static_cast<std::size_t>(w), 0);
+      for (auto* f : {&c.gathered, &c.scanned, &c.scattered}) {
+        f->assign(cells, 0);
+      }
+      for (auto* e : {&c.ev_s1, &c.ev_gather, &c.ev_scatter}) {
+        e->assign(cells, simt::Event{});
+      }
+      c.aux_local.clear();
+      c.prefix_local.clear();
+      for (int d = 0; d < w; ++d) {
+        c.aux_local.push_back(
+            acquire_workspace<T>(ws, device(d), lay.aux_elems()));
+        c.prefix_local.push_back(
+            acquire_workspace<T>(ws, device(d), lay.aux_elems()));
+      }
+      c.aux_all = acquire_workspace<T>(ws, device(0), g * w * lay.bx);
+      if (!sched.sync) c.carry = acquire_workspace<T>(ws, device(0), g);
+      c.entered = fab.enter(c.t0, compute_front);
+      c.last_boundary = c.entered;
+      c.active = true;
+    }
+    MGS_REQUIRE(c.w == w && c.k == k,
+                "scan_mps: checkpoint shape mismatch on resume");
+
+    // ---- Stage 1 per portion per wave; each wave records the event its
     // gather depends on. On resume only portions whose reductions were
     // lost re-run (chunk_reduce is pure, so relaunching a whole portion
     // reproduces its values and events bit-identically).
     if (pending(c.s1_done)) {
-      window("Stage1", -1, [&] {
+      phase("Stage1", -1, [&] {
         for (int d = 0; d < w; ++d) {
           if (c.s1_done[static_cast<std::size_t>(d)] != 0) continue;
-          simt::Stream s(cluster.device(gpus[static_cast<std::size_t>(d)]));
+          simt::Stream s(device(d));
           for (int v = 0; v < k; ++v) {
             const std::int64_t g0 = wave_begin(v);
-            launch_chunk_reduce(
-                s.device(), batches[static_cast<std::size_t>(d)].in,
-                c.aux_local[static_cast<std::size_t>(d)].buffer(), lay,
-                plan.s13, op, g0, wave_begin(v + 1) - g0);
+            launch_chunk_reduce(s.device(),
+                                batches[static_cast<std::size_t>(d)].in,
+                                at(c.aux_local, d), lay, plan.s13, op, g0,
+                                wave_begin(v + 1) - g0);
             c.ev_s1[cell(v, d)] = s.record();
           }
           c.s1_done[static_cast<std::size_t>(d)] = 1;
         }
-        return compute_front();
       });
     }
 
-    // ---- Gather, Stage 2, scatter. A copy that hits a dead device/link
+    // ---- Gather, Stage 2, scatter. A move that hits a dead device/link
     // throws with the earlier cells' flags already set. The synchronous
     // schedule runs each phase over every cell in its own window; the
     // overlapped one interleaves Stage 2 and the scatter per column group
     // inside one window that closes when the last prefix landed.
     if (sched.sync) {
-      if (pending(c.gathered)) {
-        window("AuxGather", -1, [&] {
-          gather_all();
-          return compute_front();
-        });
-      }
+      if (pending(c.gathered)) phase(Fabric::kGather, -1, gather_all);
+      // The one wave's one group.
       if (pending(c.scanned)) {
-        window("Stage2", master, [&] {
-          scan_group(0, 0);  // the one wave's one group
-          return compute_front();
-        });
+        phase("Stage2", fab.devices[0], [&] { scan_group(0, 0); });
       }
-      if (pending(c.scattered)) {
-        window("AuxScatter", -1, [&] {
-          for (int d = 0; d < w; ++d) scatter(0, d);
-          return compute_front();
-        });
-      }
+      if (pending(c.scattered)) phase(Fabric::kScatter, -1, scatter_all);
     } else if (pending(c.scattered)) {
-      window("Stage2+Comm", -1, [&] {
+      stage_window(c.partial.breakdown, c.last_boundary, compute_front(),
+                   "Stage2+Comm", -1, [&] {
         gather_all();
         for (int v = 0; v < k; ++v) {
           for (int d = 0; d < w; ++d) {
@@ -435,38 +460,64 @@ RunResult scan_mps(topo::Cluster& cluster, const std::vector<int>& gpus,
       });
     }
 
-    // ---- Stage 3 per GPU per wave, gated on that wave's prefix arrival.
-    // Failures can only surface in the copy stages above, so Stage 3
+    // ---- Stage 3 per portion per wave, gated on that wave's prefix
+    // arrival. Failures can only surface in the moves above, so Stage 3
     // always runs whole once reached.
-    window("Stage3", -1, [&] {
+    phase("Stage3", -1, [&] {
       for (int d = 0; d < w; ++d) {
-        simt::Stream s(cluster.device(gpus[static_cast<std::size_t>(d)]));
+        simt::Stream s(device(d));
         for (int v = 0; v < k; ++v) {
           const std::int64_t g0 = wave_begin(v);
           s.wait(c.ev_scatter[cell(v, d)]);
           launch_scan_add(s.device(), batches[static_cast<std::size_t>(d)].in,
                           batches[static_cast<std::size_t>(d)].out,
-                          c.prefix_local[static_cast<std::size_t>(d)].buffer(),
-                          lay, plan.s13, kind, op, g0, wave_begin(v + 1) - g0);
+                          at(c.prefix_local, d), lay, plan.s13, kind, op, g0,
+                          wave_begin(v + 1) - g0);
         }
       }
-      return compute_front();
     });
+    t_end = fab.leave(c.last_boundary, c.entered - c.t0, c.partial.breakdown,
+                      compute_front);
   } catch (...) {
-    // Preserve the counters of the aborted attempt (this engine dies with
+    // Preserve the counters of the aborted attempt (the fabric dies with
     // the unwind); the recovery driver re-enters with the same checkpoint.
-    c.counters.merge(xfer.fault_counters());
+    c.counters.merge(fab.fault_counters());
     throw;
   }
 
   RunResult result = std::move(c.partial);
   c.partial = RunResult{};
   c.active = false;
-  result.seconds = c.last_boundary - c.t0;
-  c.counters.merge(xfer.fault_counters());
+  result.seconds = t_end - c.t0;
+  c.counters.merge(fab.fault_counters());
   result.faults.counters = c.counters;
   result.faults.resumed_stages = c.resumed_stages;
   return result;
+}
+
+}  // namespace detail
+
+/// Run Scan-MPS over `gpus` (gpus[0] is the master) through the copy
+/// fabric. Batches must follow the distribute_batch layout. Returns the
+/// simulated makespan across the participating GPUs plus the phase
+/// breakdown. When `ws` is given, the auxiliary arrays are leased from it
+/// instead of allocated per call; `ck` keeps what a resume needs.
+template <typename T, typename Op = Plus<T>>
+RunResult scan_mps(topo::Cluster& cluster, const std::vector<int>& gpus,
+                   std::vector<GpuBatch<T>>& batches, std::int64_t n,
+                   std::int64_t g, const ScanPlan& plan, ScanKind kind,
+                   Op op = {}, WorkspacePool* ws = nullptr,
+                   MpsCheckpoint<T>* ck = nullptr) {
+  plan.validate();
+  const int w = static_cast<int>(gpus.size());
+  MGS_REQUIRE(w > 0 && static_cast<int>(batches.size()) == w,
+              "scan_mps: one batch per GPU required");
+  MGS_REQUIRE(n % w == 0, "scan_mps: N must be divisible by W");
+  const BatchLayout lay = make_layout(n / w, g, plan.s13);
+  MGS_REQUIRE(lay.bx >= 1,
+              "scan_mps: every GPU needs at least one chunk (Equation 2)");
+  detail::CopyFabric<T> fab{cluster, gpus, lay.bx, g};
+  return detail::scan_mps_cells<T>(fab, batches, lay, plan, kind, op, ws, ck);
 }
 
 /// Scan-MPS variant with direct peer writes: when every participating GPU
