@@ -189,8 +189,13 @@ TransferResult TransferEngine::account_on(int src_dev, int dst_dev,
         base * fi->transfer_slowdown(src_dev, dst_dev, start);
     const sim::FaultPlan& plan = fi->plan();
     for (int attempt = 0;; ++attempt) {
+      // A device-local copy crosses no link, so it draws no transient or
+      // corruption coin.
       const auto verdict =
-          fi->on_transfer_attempt(src_dev, dst_dev, attempt, start + seconds);
+          link == LinkType::kSelf
+              ? sim::FaultInjector::Verdict{}
+              : fi->on_transfer_attempt(src_dev, dst_dev, attempt,
+                                        start + seconds);
       const bool timed_out = attempt_time > plan.timeout_seconds;
       const double spent =
           timed_out ? plan.timeout_seconds : attempt_time;
