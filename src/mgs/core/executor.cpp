@@ -58,19 +58,9 @@ void ScanExecutor::stamp_report(RunResult& r) const {
   r.faults.invalidated_plans = prep_report_.invalidated_plans;
 }
 
-obs::ScopedSpan ScanExecutor::trace_run() const {
+void ScanExecutor::trace_placement() const {
   obs::TraceSession* ts = obs::TraceSession::current();
-  if (ts == nullptr) return obs::ScopedSpan{};
-
-  obs::SpanRecord run;
-  run.name = name();
-  run.kind = obs::SpanKind::kRun;
-  run.category = obs::Category::kOther;
-  run.notes.emplace_back("n", std::to_string(n_));
-  run.notes.emplace_back("g", std::to_string(g_));
-  run.notes.emplace_back("dtype", to_string(dtype_));
-  run.notes.emplace_back("op", to_string(op_));
-  obs::ScopedSpan span(std::move(run));
+  if (ts == nullptr) return;
 
   obs::SpanRecord plan;
   plan.name = "plan";
@@ -90,6 +80,25 @@ obs::ScopedSpan ScanExecutor::trace_run() const {
     }
     ts->add_event(std::move(replan));
     ts->metrics().inc("fault_events_total", {{"kind", "replan"}});
+  }
+}
+
+obs::ScopedSpan ScanExecutor::trace_run() const {
+  obs::TraceSession* ts = obs::TraceSession::current();
+  if (ts == nullptr) return obs::ScopedSpan{};
+
+  obs::SpanRecord run;
+  run.name = name();
+  run.kind = obs::SpanKind::kRun;
+  run.category = obs::Category::kOther;
+  run.notes.emplace_back("n", std::to_string(n_));
+  run.notes.emplace_back("g", std::to_string(g_));
+  run.notes.emplace_back("dtype", to_string(dtype_));
+  run.notes.emplace_back("op", to_string(op_));
+  obs::ScopedSpan span(std::move(run));
+
+  trace_placement();
+  if (prep_report_.degraded) {
     ts->metrics().inc("degraded_runs_total", {{"executor", name()}});
   }
   ts->metrics().inc("runs_total", {{"executor", name()},

@@ -127,6 +127,10 @@ class ScanExecutor {
   /// degraded placement -- kFault "replan" children. Inactive (and free
   /// beyond one branch) when no TraceSession is installed.
   obs::ScopedSpan trace_run() const;
+  /// The kPlan span of the current placement and, when degraded, its
+  /// kFault "replan" span: trace_run emits them once, and a restart that
+  /// re-placed emits them again.
+  void trace_placement() const;
   /// Close the run span at the run's makespan and snapshot the session's
   /// metrics into r.metrics. Call after stamp_report on every return path.
   void finish_run(obs::ScopedSpan& span, RunResult& r) const;

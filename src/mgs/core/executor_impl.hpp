@@ -322,7 +322,9 @@ class TypedScanExecutor : public ScanExecutor {
     bool resumed = false;
     for (int tries = 0;; ++tries) {
       if (!resumed) {
+        const std::uint64_t epoch = this->fault_epoch_;
         prepare(n_, g_);  // re-places when a restart moved the epoch
+        if (this->fault_epoch_ != epoch) this->trace_placement();
         ctx_->cluster().reset_clocks();
       }
       try {
