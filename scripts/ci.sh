@@ -32,6 +32,12 @@ else
   cmake --build "$BUILD_DIR" -j -- -k
 fi
 
+# Every test runs once, here. The labels (dtype, chaos, pipeline, faults)
+# select groups for local runs, e.g. `ctest --test-dir build -L chaos`.
+# The chaos smoke (tool_mgs_chaos_smoke, a seeded 100-scenario campaign)
+# shrinks each violation to a one-line repro under
+# $BUILD_DIR/tools/chaos_repro/, which the workflow uploads on failure --
+# replay locally with ./$BUILD_DIR/tools/mgs_chaos --replay "<line>".
 ctest --test-dir "$BUILD_DIR" --output-on-failure
 
 # Sample observability artifacts (uploaded by the GitHub Actions
@@ -144,14 +150,3 @@ grep -q "badc0de" "$BUILD_DIR/trend_selftest_dashboard.html" || {
   exit 1
 }
 echo "ci: trend self-test OK (flat chain clean, seeded step caught at badc0de)"
-
-# The dtype test group on its own (matrix correctness + the instantiation
-# guard that compiles every proposal over every (dtype, op) cell).
-ctest --test-dir "$BUILD_DIR" -L dtype --output-on-failure
-
-# Chaos smoke: the seeded 100-scenario campaign (tool_mgs_chaos_smoke)
-# plus the harness's own unit tests. On a violation the campaign shrinks
-# each failure to a one-line repro under $BUILD_DIR/tools/chaos_repro/,
-# which the workflow uploads -- replay locally with
-#   ./$BUILD_DIR/tools/mgs_chaos --replay "<line>"
-ctest --test-dir "$BUILD_DIR" -L chaos --output-on-failure
