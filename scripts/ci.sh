@@ -4,14 +4,20 @@
 # the full test suite. Mirrors the local workflow in README.md.
 #
 # MGS_SANITIZE=ON reruns the same pipeline in a separate build directory
-# with AddressSanitizer + UndefinedBehaviorSanitizer (-DMGS_SANITIZE=ON).
+# with AddressSanitizer + UndefinedBehaviorSanitizer (-DMGS_SANITIZE=ON);
+# MGS_SANITIZE=thread does the same with ThreadSanitizer.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 BUILD_DIR=${BUILD_DIR:-build}
 SANITIZE=${MGS_SANITIZE:-OFF}
-if [[ "$SANITIZE" == ON* || "$SANITIZE" == on* || "$SANITIZE" == 1 ]]; then
+if [[ "$SANITIZE" == thread ]]; then
+  BUILD_DIR=${BUILD_DIR}-tsan
+  EXTRA_FLAGS=(-DMGS_SANITIZE=thread)
+  # Any data race fails the run at its first report.
+  export TSAN_OPTIONS=${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}
+elif [[ "$SANITIZE" == ON* || "$SANITIZE" == on* || "$SANITIZE" == 1 ]]; then
   BUILD_DIR=${BUILD_DIR}-asan
   EXTRA_FLAGS=(-DMGS_SANITIZE=ON)
   # Sanitized runs: surface every finding, keep UBSan prints readable.

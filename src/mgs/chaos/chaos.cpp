@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
+#include <memory>
 #include <sstream>
 #include <utility>
 
@@ -47,15 +47,47 @@ core::ScanKind parse_kind(const std::string& s) {
 
 // --------------------------------------------------------------- the runner
 
+/// Runs of one executor per execution: the second starts from the
+/// liveness, placement and pool the first left behind.
+constexpr int kRunsPerExecution = 2;
+
+/// One completed run and what its trace recorded.
+struct RunRecord {
+  core::RunResult result;
+  bool reference_match = false;
+  std::size_t recovery_spans = 0;  ///< "Recovery" kStage spans
+  std::size_t replan_spans = 0;    ///< "replan" kFault spans
+  std::size_t loss_spans = 0;      ///< "restart" + "resume" kFault spans
+  sim::FaultCounters fault_spans;  ///< kFault spans counted per kind
+};
+
 /// Everything one execution of a scenario produced, in comparable form.
 struct RunOutcome {
   bool threw = false;
-  std::string error;  ///< what() when threw
-  std::vector<unsigned char> bits;  ///< output bytes when !threw
-  bool reference_match = false;
-  core::RunResult result;
-  std::size_t recovery_spans = 0;  ///< "Recovery" kStage spans recorded
+  std::string error;  ///< what() of the run that threw
+  std::vector<unsigned char> bits;  ///< output bytes of the completed runs
+  std::vector<RunRecord> runs;      ///< the runs that completed
 };
+
+/// Tally the spans a run recorded (those from `first` on).
+RunRecord tally(const std::vector<obs::SpanRecord>& spans, std::size_t first) {
+  RunRecord r;
+  for (std::size_t i = first; i < spans.size(); ++i) {
+    const obs::SpanRecord& sp = spans[i];
+    if (sp.kind == obs::SpanKind::kStage && sp.name == "Recovery") {
+      ++r.recovery_spans;
+    }
+    if (sp.kind != obs::SpanKind::kFault) continue;
+    sim::FaultCounters& c = r.fault_spans;
+    if (sp.name == "transient") ++c.transient_failures;
+    if (sp.name == "timeout") ++c.timeouts;
+    if (sp.name.starts_with("corrupt-")) ++c.corruptions_detected;
+    if (sp.name == "reroute") ++c.rerouted_transfers;
+    if (sp.name == "replan") ++r.replan_spans;
+    if (sp.name == "restart" || sp.name == "resume") ++r.loss_spans;
+  }
+  return r;
+}
 
 /// Deterministic input: small-magnitude values (|x| < 7) keep float
 /// partial sums exactly representable, so scans are association-free and
@@ -138,34 +170,37 @@ RunOutcome run_typed(const Scenario& s) {
   p.op = *core::op_tag_of_v<Op>;
   const auto data = scenario_data<T>(s);
   std::vector<T> out(data.size());
+  std::vector<T> flags;
   std::vector<T> ref;
+  std::unique_ptr<core::SegmentedScan<T, Op>> seg;
+  std::unique_ptr<core::ScanExecutor> ex;
   try {
     if (s.segmented) {
-      const auto flags = scenario_flags<T>(s);
-      core::SegmentedScan<T, Op> seg(ctx, s.executor, p);
-      seg.prepare(s.n, s.g);
-      o.result = seg.run(std::span<const T>(data), std::span<const T>(flags),
-                         std::span<T>(out), s.kind);
+      flags = scenario_flags<T>(s);
+      seg = std::make_unique<core::SegmentedScan<T, Op>>(ctx, s.executor, p);
+      seg->prepare(s.n, s.g);
       ref = reference_segmented<T, Op>(data, flags, s.n, s.kind);
     } else {
-      auto ex = core::make_executor(s.executor, ctx, p);
+      ex = core::make_executor(s.executor, ctx, p);
       ex->prepare(s.n, s.g);
-      o.result = ex->run(std::span<const T>(data), std::span<T>(out), s.kind);
       ref = baselines::reference_batch_scan<T, Op>(data, s.n, s.g, s.kind);
+    }
+    for (int i = 0; i < kRunsPerExecution; ++i) {
+      const std::size_t first = ts.size();
+      const core::RunResult r =
+          seg ? seg->run(std::span<const T>(data), std::span<const T>(flags),
+                         std::span<T>(out), s.kind)
+              : ex->run(std::span<const T>(data), std::span<T>(out), s.kind);
+      o.runs.push_back(tally(ts.spans(), first));
+      o.runs.back().result = r;
+      o.runs.back().reference_match = (out == ref);
+      const auto* bytes = reinterpret_cast<const unsigned char*>(out.data());
+      o.bits.insert(o.bits.end(), bytes, bytes + out.size() * sizeof(T));
     }
   } catch (const std::exception& e) {
     o.threw = true;
     o.error = e.what();
-    return o;
   }
-  for (const auto& sp : ts.spans()) {
-    if (sp.kind == obs::SpanKind::kStage && sp.name == "Recovery") {
-      ++o.recovery_spans;
-    }
-  }
-  o.reference_match = (out == ref);
-  o.bits.resize(out.size() * sizeof(T));
-  std::memcpy(o.bits.data(), out.data(), o.bits.size());
   return o;
 }
 
@@ -187,6 +222,67 @@ RunOutcome run_scenario_once(const Scenario& s) {
   }
 }
 
+/// Invariants 1-3, 5 and 6 on one completed run.
+std::optional<std::string> check_run(const Scenario& s, const RunRecord& run) {
+  // Invariant 1: bit-identical to the serial reference.
+  if (!run.reference_match) {
+    return "result differs from the serial reference (silent corruption)";
+  }
+
+  // Invariant 2: the per-stage breakdown telescopes to the makespan.
+  const double seconds = run.result.seconds;
+  const double sum = run.result.breakdown.total();
+  const double tol = 1e-12 + 1e-9 * std::abs(seconds);
+  if (std::abs(sum - seconds) > tol) {
+    return "breakdown does not telescope: sum=" + std::to_string(sum) +
+           " vs seconds=" + std::to_string(seconds);
+  }
+
+  // Invariant 3: FaultReport consistent with what was injected.
+  const auto& f = run.result.faults;
+  if (s.faults.empty()) {
+    if (f.any()) return "healthy run reported faults: " + f.summary();
+    if (!f.resumed_stages.empty()) {
+      return "healthy run recorded resumed stages";
+    }
+    if (run.recovery_spans != 0) return "healthy run recorded Recovery spans";
+  }
+  if (!f.resumed_stages.empty() && !f.degraded) {
+    return "resumed_stages non-empty but the report is not degraded";
+  }
+
+  // Invariant 5: one Recovery stage span per recorded resume.
+  if (run.recovery_spans != f.resumed_stages.size()) {
+    return "span mismatch: " + std::to_string(run.recovery_spans) +
+           " Recovery spans vs " + std::to_string(f.resumed_stages.size()) +
+           " resumed_stages entries";
+  }
+
+  // Invariant 6: the report counts what the trace shows -- per fault
+  // kind, and one replanned entry per "replan" span plus the mid-run
+  // entry a "restart"/"resume" adds.
+  const sim::FaultCounters& c = f.counters;
+  const sim::FaultCounters& t = run.fault_spans;
+  const auto count = [](const char* kind, std::uint64_t report,
+                        std::uint64_t spans) -> std::optional<std::string> {
+    if (report == spans) return std::nullopt;
+    return std::string("report/trace mismatch: ") + kind + "=" +
+           std::to_string(report) + " in the report vs " +
+           std::to_string(spans) + " spans";
+  };
+  const std::size_t replans =
+      run.replan_spans + (run.loss_spans != 0 ? 1 : 0);
+  for (auto v : {count("transient", c.transient_failures, t.transient_failures),
+                 count("timeout", c.timeouts, t.timeouts),
+                 count("corrupt", c.corruptions_detected,
+                       t.corruptions_detected),
+                 count("reroute", c.rerouted_transfers, t.rerouted_transfers),
+                 count("replanned", f.replanned.size(), replans)}) {
+    if (v) return v;
+  }
+  return std::nullopt;
+}
+
 std::optional<std::string> check_impl(const Scenario& s, bool* rejected) {
   const RunOutcome a = run_scenario_once(s);
   const RunOutcome b = run_scenario_once(s);
@@ -196,61 +292,36 @@ std::optional<std::string> check_impl(const Scenario& s, bool* rejected) {
     return "nondeterministic: one replay threw ('" +
            (a.threw ? a.error : b.error) + "'), the other did not";
   }
-  if (a.threw) {
-    if (a.error != b.error) {
-      return "nondeterministic error: '" + a.error + "' vs '" + b.error + "'";
-    }
-    // Invariant 1 (healthy half): a fault-free scenario must succeed.
-    if (s.faults.empty()) {
-      return "healthy scenario raised: " + a.error;
-    }
-    // Typed rejection under injected faults is an allowed outcome
-    // (fail-stop beats silent corruption).
-    if (rejected != nullptr) *rejected = true;
-    return std::nullopt;
+  if (a.runs.size() != b.runs.size()) {
+    return "nondeterministic: the replays completed " +
+           std::to_string(a.runs.size()) + " and " +
+           std::to_string(b.runs.size()) + " runs";
+  }
+  if (a.error != b.error) {
+    return "nondeterministic error: '" + a.error + "' vs '" + b.error + "'";
+  }
+  // Invariant 1 (healthy half): a fault-free scenario must succeed.
+  if (a.threw && s.faults.empty()) {
+    return "healthy scenario raised: " + a.error;
   }
   if (a.bits != b.bits) return "nondeterministic output bits across replays";
-  if (a.result.seconds != b.result.seconds) {
-    return "nondeterministic makespan: " + std::to_string(a.result.seconds) +
-           " vs " + std::to_string(b.result.seconds);
-  }
-  if (a.result.faults.summary() != b.result.faults.summary()) {
-    return "nondeterministic fault report: '" + a.result.faults.summary() +
-           "' vs '" + b.result.faults.summary() + "'";
-  }
-
-  // Invariant 1: bit-identical to the serial reference.
-  if (!a.reference_match) {
-    return "result differs from the serial reference (silent corruption)";
-  }
-
-  // Invariant 2: the per-stage breakdown telescopes to the makespan.
-  const double sum = a.result.breakdown.total();
-  const double tol = 1e-12 + 1e-9 * std::abs(a.result.seconds);
-  if (std::abs(sum - a.result.seconds) > tol) {
-    return "breakdown does not telescope: sum=" + std::to_string(sum) +
-           " vs seconds=" + std::to_string(a.result.seconds);
-  }
-
-  // Invariant 3: FaultReport consistent with what was injected.
-  const auto& f = a.result.faults;
-  if (s.faults.empty()) {
-    if (f.any()) return "healthy run reported faults: " + f.summary();
-    if (!f.resumed_stages.empty()) {
-      return "healthy run recorded resumed stages";
+  for (std::size_t i = 0; i < a.runs.size(); ++i) {
+    const std::string run = "run " + std::to_string(i + 1) + ": ";
+    const core::RunResult& ra = a.runs[i].result;
+    const core::RunResult& rb = b.runs[i].result;
+    if (ra.seconds != rb.seconds) {
+      return run + "nondeterministic makespan: " +
+             std::to_string(ra.seconds) + " vs " + std::to_string(rb.seconds);
     }
-    if (a.recovery_spans != 0) return "healthy run recorded Recovery spans";
+    if (ra.faults.summary() != rb.faults.summary()) {
+      return run + "nondeterministic fault report: '" + ra.faults.summary() +
+             "' vs '" + rb.faults.summary() + "'";
+    }
+    if (const auto v = check_run(s, a.runs[i])) return run + *v;
   }
-  if (!f.resumed_stages.empty() && !f.degraded) {
-    return "resumed_stages non-empty but the report is not degraded";
-  }
-
-  // Invariant 5: one Recovery stage span per recorded resume.
-  if (a.recovery_spans != f.resumed_stages.size()) {
-    return "span mismatch: " + std::to_string(a.recovery_spans) +
-           " Recovery spans vs " + std::to_string(f.resumed_stages.size()) +
-           " resumed_stages entries";
-  }
+  // Typed rejection under injected faults is an allowed outcome
+  // (fail-stop beats silent corruption).
+  if (a.threw && rejected != nullptr) *rejected = true;
   return std::nullopt;
 }
 

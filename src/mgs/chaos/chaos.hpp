@@ -2,8 +2,9 @@
 /// \file chaos.hpp
 /// Deterministic chaos harness for the scan stack. A campaign samples
 /// scenarios across (proposal x dtype/op x shape x placement x pipeline x
-/// FaultPlan) from a seeded generator, runs each against the simulated
-/// cluster, and checks the invariants that must hold under ANY injected
+/// FaultPlan) from a seeded generator, runs each twice on one executor
+/// (the second run starts from the liveness and pool the first left), and
+/// checks on every run the invariants that must hold under ANY injected
 /// fault schedule:
 ///
 ///  1. correctness -- the scan either matches the serial reference
@@ -16,7 +17,12 @@
 ///  4. determinism -- replaying the scenario from fresh state reproduces
 ///     the same bits, the same makespan, and the same fault summary;
 ///  5. span consistency -- one "Recovery" stage span per recorded
-///     resumed_stages entry.
+///     resumed_stages entry;
+///  6. report/trace agreement -- per fault kind, FaultReport.counters
+///     equal the kFault spans of that kind (transient, timeout,
+///     corrupt-*, reroute), and `replanned` holds one entry per "replan"
+///     span plus one when a "restart" or "resume" span shows a mid-run
+///     loss.
 ///
 /// On a violation the harness greedily shrinks the scenario to a minimal
 /// reproducer, printable as a one-line spec whose `faults=` tail pastes
@@ -75,7 +81,7 @@ Scenario parse_scenario(const std::string& line);
 Scenario sample_scenario(std::uint64_t seed, int index);
 
 /// Run the scenario (twice, from fresh state, for the determinism check)
-/// and evaluate every invariant. Returns std::nullopt when all hold, or a
+/// and evaluate every invariant on each of its runs. Returns std::nullopt when all hold, or a
 /// human-readable description of the first violation.
 std::optional<std::string> check_scenario(const Scenario& s);
 

@@ -46,15 +46,14 @@ EasyScanResult<T> scan(ScanContext& ctx, std::span<const T> input,
                    op_tag_of_v<Op>.value_or(OpTag::kPlus),
                    /*gpus_per_problem=*/1, PlanTypeOf<T>::segmented);
   simt::Device& dev = ctx.cluster().device(0);
-  auto in = acquire_workspace<T>(&ctx.workspace(), dev, total);
-  auto out = acquire_workspace<T>(&ctx.workspace(), dev, total);
-  std::copy(input.begin(), input.end(), in.host_span().begin());
+  auto buf = acquire_workspace<T>(&ctx.workspace(), dev, total);  // in place
+  std::copy(input.begin(), input.end(), buf.host_span().begin());
 
   ctx.cluster().reset_clocks();
   EasyScanResult<T> result;
-  result.run = scan_sp<T, Op>(dev, in.buffer(), out.buffer(), n, g, plan,
+  result.run = scan_sp<T, Op>(dev, buf.buffer(), buf.buffer(), n, g, plan,
                               kind, op, &ctx.workspace());
-  const auto produced = out.host_span();
+  const auto produced = buf.host_span();
   result.output.assign(produced.begin(),
                        produced.begin() + static_cast<std::ptrdiff_t>(total));
   return result;

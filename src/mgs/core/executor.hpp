@@ -18,11 +18,13 @@
 /// overloads wrap the erasure so callers that know their type statically
 /// (including every pre-refactor caller) compile unchanged.
 ///
-/// Protocol: prepare(n, g) derives/caches the plan and leases persistent
-/// staging for the shape (idempotent for an unchanged shape); run() scans
-/// G host problems of N contiguous elements into `out` and returns the
-/// simulated RunResult. run() resets the cluster clocks, so repeated runs
-/// of one shape report identical modeled times (determinism).
+/// Protocol: prepare(n, g) places the run and derives/caches the plan for
+/// the shape (idempotent for an unchanged shape; it holds no device
+/// memory); run() leases one staging buffer per placed device from the
+/// pool, scans G host problems of N contiguous elements in place through
+/// them into `out`, returns the leases and the simulated RunResult.
+/// run() resets the cluster clocks, so repeated runs of one shape report
+/// identical modeled times (determinism).
 ///
 /// Degraded mode: when the cluster carries a sim::FaultInjector, prepare()
 /// places the run on the surviving GPUs only, and both prepare() and run()
@@ -58,11 +60,10 @@ class ScanExecutor {
   /// type/operator, cached plan. Most detailed after prepare().
   virtual std::string describe() const = 0;
 
-  /// Set up for G problems of N elements: plan lookup (cache hit after the
-  /// first call for a shape) + persistent staging leases. Throws
-  /// util::Error for shapes the proposal cannot place. Idempotent when the
-  /// shape is unchanged; re-prepares (returning old leases to the pool)
-  /// when it differs.
+  /// Set up for G problems of N elements: placement and plan lookup (cache
+  /// hit after the first call for a shape). Throws util::Error for shapes
+  /// the proposal cannot place. Idempotent when the shape is unchanged;
+  /// re-prepares when it differs.
   virtual void prepare(std::int64_t n, std::int64_t g) = 0;
 
   /// Scan problem g of `in` (at offset g*N) into the same region of `out`.

@@ -69,10 +69,6 @@ inline bool is_down(const ScanContext& ctx, int dev) {
   return fi != nullptr && fi->device_is_down(dev);
 }
 
-inline int cluster_alive_count(const ScanContext& ctx) {
-  return static_cast<int>(ctx.cluster().alive_devices().size());
-}
-
 /// Decide which endpoint of a failed mid-run transfer is lost and mark it
 /// down in the injector. Scheduled device-down events identify the culprit
 /// directly; a pure link death is attributed to the non-master endpoint
@@ -95,12 +91,19 @@ inline int blame_endpoint(sim::FaultInjector& fi, int src_dev, int dst_dev,
   return dead;
 }
 
-/// Fold a mid-run recovery into a run's fault report; called after
-/// stamp_report, which only reflects prepare-time placement.
+/// Fold what a run's failed attempts left -- lost devices
+/// (excluded_devices), superseded placements' steps and restarted
+/// attempts' counters -- into its report, after stamp_report (which only
+/// reflects the last placement). No-op when nothing was lost.
 inline void merge_mid_run_losses(sim::FaultReport& f,
                                  const std::string& executor,
-                                 const std::vector<int>& lost) {
+                                 const sim::FaultReport& failed) {
+  const std::vector<int>& lost = failed.excluded_devices;
+  if (lost.empty()) return;
   f.degraded = true;
+  f.counters.merge(failed.counters);
+  f.replanned.insert(f.replanned.begin(), failed.replanned.begin(),
+                     failed.replanned.end());
   for (int d : lost) {
     if (std::find(f.excluded_devices.begin(), f.excluded_devices.end(), d) ==
         f.excluded_devices.end()) {
@@ -129,7 +132,7 @@ inline void merge_mid_run_losses(sim::FaultReport& f,
 /// one element type and operator. A proposal supplies only what differs:
 ///  - place(): which devices the run uses, or a collapse onto one device
 ///    (the paper's Scan-SP, which is also Scan-SP's own placement);
-///  - lease_staging(): its per-device staging leases (via lease());
+///  - lease_staging(): the run's per-device staging leases (via lease());
 ///  - run_attempt(): one attempt -- scatter, scan, gather;
 ///  - optionally resume(): an in-place recovery step (Scan-MPS's
 ///    checkpoint) instead of a restart.
@@ -171,16 +174,11 @@ class TypedScanExecutor : public ScanExecutor {
     prep_report_ = {};
     const Placement at = place(n, g);
     solo_ = at.solo;
-    ins_.clear();
-    outs_.clear();
-    if (solo_ >= 0) {
-      plan_ = ctx_->plan_for(this->plan_key(*ctx_, n, g, 1));
-      lease(solo_, n * g);
-    } else {
-      plan_ = apply_pipeline_choice(
-          ctx_->plan_for(this->plan_key(*ctx_, n, g, at.width)), pipe_);
-      lease_staging(n, g);
-    }
+    plan_ = solo_ >= 0
+                ? ctx_->plan_for(this->plan_key(*ctx_, n, g, 1))
+                : apply_pipeline_choice(
+                      ctx_->plan_for(this->plan_key(*ctx_, n, g, at.width)),
+                      pipe_);
     n_ = n;
     g_ = g;
     fault_epoch_ = epoch;
@@ -206,10 +204,14 @@ class TypedScanExecutor : public ScanExecutor {
                         static_cast<std::int64_t>(out.size()));
     prepare(n_, g_);  // re-place if device liveness changed since prepare()
     obs::ScopedSpan run_span = this->trace_run();
-    std::vector<int> lost;
-    RunResult r = run_recovering(in, out, kind, lost);
+    struct EndRun {  // returns the run's leases on every exit path
+      TypedScanExecutor& ex;
+      ~EndRun() { ex.end_run(); }
+    } end_run{*this};
+    sim::FaultReport failed;
+    RunResult r = run_recovering(in, out, kind, failed);
     this->stamp_report(r);
-    if (!lost.empty()) detail::merge_mid_run_losses(r.faults, name(), lost);
+    detail::merge_mid_run_losses(r.faults, name(), failed);
     this->finish_run(run_span, r);
     return r;
   }
@@ -238,6 +240,8 @@ class TypedScanExecutor : public ScanExecutor {
   virtual Placement place(std::int64_t n, std::int64_t g) = 0;
   /// Lease the multi-GPU placement's staging, in attempt order.
   virtual void lease_staging(std::int64_t /*n*/, std::int64_t /*g*/) {}
+  /// Return the run's leases to the pool (once per run, also on a throw).
+  virtual void end_run() { staging_.clear(); }
   /// describe() head: proposal and devices.
   virtual std::string placement() const = 0;
   /// describe() text between the type suffix and the shape.
@@ -264,21 +268,28 @@ class TypedScanExecutor : public ScanExecutor {
     return ctx_->cluster().num_devices();
   }
 
-  /// Lease one input and one output staging buffer of `elems` on `dev`.
+  /// Lease the one staging buffer of `elems` on `dev` (scanned in place).
   void lease(int dev, std::int64_t elems) {
-    simt::Device& d = ctx_->cluster().device(dev);
-    ins_.push_back(ctx_->workspace().template acquire<T>(d, elems));
-    outs_.push_back(ctx_->workspace().template acquire<T>(d, elems));
+    staging_.push_back(ctx_->workspace().template acquire<T>(
+        ctx_->cluster().device(dev), elems));
+  }
+  /// Record a placement without the `dead` devices: degraded, and the
+  /// cached plans of the old device count dropped.
+  void degrade(std::vector<int> dead) {
+    prep_report_.degraded = true;
+    prep_report_.excluded_devices = std::move(dead);
+    prep_report_.invalidated_plans += ctx_->invalidate_plans(
+        static_cast<int>(ctx_->cluster().alive_devices().size()));
   }
   /// Device of staging lease `i` (for multi-node Scan-MPS, of rank `i`).
   int staging_device(std::size_t i) const {
-    return ins_.at(i).buffer().device_id();
+    return staging_.at(i).buffer().device_id();
   }
-  /// Batch views of staging leases [first, first + count).
+  /// In-place batch views of staging leases [first, first + count).
   std::vector<GpuBatch<T>> staged(std::size_t first, std::size_t count) {
     std::vector<GpuBatch<T>> b;
     for (std::size_t i = first; i < first + count; ++i) {
-      b.push_back(GpuBatch<T>{ins_[i].buffer(), outs_[i].buffer()});
+      b.push_back(GpuBatch<T>{staging_[i].buffer(), staging_[i].buffer()});
     }
     return b;
   }
@@ -286,18 +297,18 @@ class TypedScanExecutor : public ScanExecutor {
   ScanContext* ctx_;
   PipelineChoice pipe_;
   std::optional<ScanPlan> plan_;
-  std::vector<Handle> ins_;  ///< staging, one pair per placed device
-  std::vector<Handle> outs_;
+  std::vector<Handle> staging_;  ///< the run's, one per placed device
 
  private:
   RunResult run_sp(std::span<const T> in, std::span<T> out, ScanKind kind) {
     const auto count = static_cast<std::ptrdiff_t>(n_ * g_);
-    std::copy(in.begin(), in.begin() + count, ins_[0].host_span().begin());
+    const auto buf = staging_[0].host_span();
+    std::copy(in.begin(), in.begin() + count, buf.begin());
     RunResult r = scan_sp<T, Op>(ctx_->cluster().device(solo_),
-                                 ins_[0].buffer(), outs_[0].buffer(), n_, g_,
-                                 *plan_, kind, Op{}, &ctx_->workspace());
-    const auto produced = outs_[0].host_span();
-    std::copy(produced.begin(), produced.begin() + count, out.begin());
+                                 staging_[0].buffer(), staging_[0].buffer(),
+                                 n_, g_, *plan_, kind, Op{},
+                                 &ctx_->workspace());
+    std::copy(buf.begin(), buf.begin() + count, out.begin());
     return r;
   }
 
@@ -305,7 +316,7 @@ class TypedScanExecutor : public ScanExecutor {
   /// the cluster-wide "now" a mid-run failure is diagnosed at.
   double cluster_front() {
     double t = 0.0;
-    for (const Handle& h : ins_) {
+    for (const Handle& h : staging_) {
       const simt::Device& d = ctx_->cluster().device(h.buffer().device_id());
       t = std::max({t, d.clock().now(), d.dma_clock().now()});
     }
@@ -315,16 +326,24 @@ class TypedScanExecutor : public ScanExecutor {
   /// Run attempts until one completes. A CommError names its failed rank;
   /// a TransferError is blamed on an endpoint. Either way the device is
   /// marked down; then the proposal resumes in place, or the loop notes a
-  /// restart and the next attempt re-places on the survivors.
+  /// restart and the next attempt re-places on the survivors and leases
+  /// their staging; what failed attempts leave goes to `failed`.
   RunResult run_recovering(std::span<const T> in, std::span<T> out,
-                           ScanKind kind, std::vector<int>& lost) {
+                           ScanKind kind, sim::FaultReport& failed) {
     sim::FaultInjector* fi = ctx_->cluster().fault_injector();
     bool resumed = false;
     for (int tries = 0;; ++tries) {
       if (!resumed) {
         const std::uint64_t epoch = this->fault_epoch_;
+        std::vector<std::string> steps = this->prep_report_.replanned;
         prepare(n_, g_);  // re-places when a restart moved the epoch
-        if (this->fault_epoch_ != epoch) this->trace_placement();
+        if (this->fault_epoch_ != epoch) {
+          this->trace_placement();
+          failed.replanned.insert(failed.replanned.end(), steps.begin(),
+                                  steps.end());
+        }
+        staging_.clear();
+        solo_ >= 0 ? lease(solo_, n_ * g_) : lease_staging(n_, g_);
         ctx_->cluster().reset_clocks();
       }
       try {
@@ -335,36 +354,33 @@ class TypedScanExecutor : public ScanExecutor {
         const int dead =
             staging_device(static_cast<std::size_t>(e.failed_rank));
         if (!fi->device_is_down(dead)) fi->mark_device_down(dead);
-        resumed = recover(dead, e.failed_rank, cluster_front(), in, lost);
+        resumed = recover(dead, e.failed_rank, cluster_front(), in,
+                          e.counters, failed);
       } catch (const topo::TransferError& e) {
         if (fi == nullptr || tries >= recovery_limit()) throw;
         const double now = cluster_front();
         const int dead =
             detail::blame_endpoint(*fi, e.src_dev, e.dst_dev, master(), now);
         if (dead < 0) throw;
-        resumed = recover(dead, -1, now, in, lost);
+        resumed = recover(dead, -1, now, in, e.counters, failed);
       }
     }
   }
 
-  /// After `dead` was marked down: the proposal's resume step, else a
-  /// noted restart. Returns whether the next attempt resumes.
+  /// After `dead` was marked down: the proposal's resume step (its
+  /// checkpoint keeps the attempt's counters), else a noted restart that
+  /// folds them (`seen`) into `failed`. Returns whether to resume.
   bool recover(int dead, int rank, double now, std::span<const T> in,
-               std::vector<int>& lost) {
+               const sim::FaultCounters& seen, sim::FaultReport& failed) {
     const bool resumed = resume(dead, now, in);
-    lost.push_back(dead);
+    failed.excluded_devices.push_back(dead);
     if (resumed) return true;
-    if (rank >= 0) {
-      obs::note_fault("restart",
-                      {{"executor", name()},
-                       {"rank", std::to_string(rank)},
-                       {"dead", std::to_string(dead)}},
-                      now, dead);
-    } else {
-      obs::note_fault("restart",
-                      {{"executor", name()}, {"dead", std::to_string(dead)}},
-                      now, dead);
-    }
+    failed.counters.merge(seen);
+    std::vector<std::pair<std::string, std::string>> notes{
+        {"executor", name()}};
+    if (rank >= 0) notes.emplace_back("rank", std::to_string(rank));
+    notes.emplace_back("dead", std::to_string(dead));
+    obs::note_fault("restart", std::move(notes), now, dead);
     return false;
   }
 
@@ -441,11 +457,10 @@ class MpsExecutorT final : public TypedScanExecutor<T, Op> {
  private:
   using Base::ctx_;
   using Base::g_;
-  using Base::ins_;
   using Base::n_;
-  using Base::outs_;
   using Base::plan_;
   using Base::prep_report_;
+  using Base::staging_;
   using typename Base::Placement;
 
   /// Placement: the requested W GPUs of node 0 when all are alive; the
@@ -481,10 +496,7 @@ class MpsExecutorT final : public TypedScanExecutor<T, Op> {
     gpus_.assign(alive.begin(), alive.begin() + w2);
     w_ = w2;
     const bool solo = (w2 == 1);
-    prep_report_.degraded = true;
-    prep_report_.excluded_devices = dead;
-    prep_report_.invalidated_plans +=
-        ctx_->invalidate_plans(cluster_alive_count(*ctx_));
+    this->degrade(std::move(dead));
     prep_report_.degraded_mode =
         solo ? ("Scan-SP on device " + std::to_string(gpus_.front()))
              : (this->name() + " W=" + std::to_string(w_));
@@ -507,22 +519,22 @@ class MpsExecutorT final : public TypedScanExecutor<T, Op> {
 
   RunResult run_attempt(std::span<const T> in, std::span<T> out,
                         ScanKind kind, bool resumed) override {
-    if (!resumed) {
-      ck_ = {};
-      batches_ = this->staged(0, ins_.size());
-      scatter_batch<T>(in, batches_, n_, g_);
-    }
+    auto batches = this->staged(0, staging_.size());
+    if (!resumed) scatter_batch<T>(in, batches, n_, g_);
     RunResult r =
-        direct_ ? scan_mps_direct<T, Op>(ctx_->cluster(), gpus_, batches_, n_,
+        direct_ ? scan_mps_direct<T, Op>(ctx_->cluster(), gpus_, batches, n_,
                                          g_, *plan_, kind, Op{},
                                          &ctx_->workspace())
-                : scan_mps<T, Op>(ctx_->cluster(), gpus_, batches_, n_, g_,
+                : scan_mps<T, Op>(ctx_->cluster(), gpus_, batches, n_, g_,
                                   *plan_, kind, Op{}, &ctx_->workspace(),
                                   &ck_);
-    gather_batch<T>(batches_, n_, g_, out);
-    ck_ = {};  // return the checkpoint's leases to the pool
-    batches_.clear();
+    gather_batch<T>(batches, n_, g_, out);
     return r;
+  }
+
+  void end_run() override {
+    ck_ = {};
+    Base::end_run();
   }
 
   /// One recovery per device that can still die.
@@ -588,13 +600,11 @@ class MpsExecutorT final : public TypedScanExecutor<T, Op> {
       }
       gpus_[ii] = repl;
       simt::Device& dev = cluster.device(repl);
-      ins_[ii] = ctx_->workspace().template acquire<T>(dev, per_gpu);
-      outs_[ii] = ctx_->workspace().template acquire<T>(dev, per_gpu);
-      batches_[ii] = GpuBatch<T>{ins_[ii].buffer(), outs_[ii].buffer()};
+      staging_[ii] = ctx_->workspace().template acquire<T>(dev, per_gpu);
       // Refill this portion's input from the host (same layout as
       // scatter_batch) and charge the H2D restage to the replacement's
       // clock -- lost time is real time.
-      auto dst = ins_[ii].host_span();
+      auto dst = staging_[ii].host_span();
       for (std::int64_t gg = 0; gg < g_; ++gg) {
         const auto row = in.begin() + (gg * n_ + i * n_local);
         std::copy(row, row + n_local, dst.begin() + gg * n_local);
@@ -665,8 +675,7 @@ class MpsExecutorT final : public TypedScanExecutor<T, Op> {
   int w_req_ = 1;
   int w_ = 1;
   std::vector<int> gpus_;
-  std::vector<GpuBatch<T>> batches_;  ///< the current run's staging views
-  MpsCheckpoint<T> ck_;               ///< the current run's progress
+  MpsCheckpoint<T> ck_;  ///< the current run's progress
 };
 
 // -------------------------------------------------------------- Scan-MP-PC
@@ -688,7 +697,6 @@ class MppcExecutorT final : public TypedScanExecutor<T, Op> {
  private:
   using Base::ctx_;
   using Base::g_;
-  using Base::ins_;
   using Base::n_;
   using Base::plan_;
   using Base::prep_report_;
@@ -702,25 +710,6 @@ class MppcExecutorT final : public TypedScanExecutor<T, Op> {
   /// collapses to Scan-SP.
   Placement place(std::int64_t n, std::int64_t g) override {
     const auto& cfg = ctx_->cluster().config();
-    bool any_down = false;
-    for (int node = 0; node < m_ && !any_down; ++node) {
-      for (int net = 0; net < y_ && !any_down; ++net) {
-        for (int s = 0; s < v_req_; ++s) {
-          if (is_down(*ctx_, ctx_->cluster().global_id(node, net, s))) {
-            any_down = true;
-            break;
-          }
-        }
-      }
-    }
-    if (!any_down) {
-      MGS_REQUIRE(n % v_req_ == 0,
-                  "Scan-MP-PC executor: N must be divisible by V");
-      part_ = make_mppc_partition(ctx_->cluster(), y_, v_req_, g, m_);
-      v_ = v_req_;
-      return {v_, -1};
-    }
-
     std::vector<std::vector<int>> nets;
     std::vector<int> dead;
     for (int node = 0; node < m_; ++node) {
@@ -737,16 +726,20 @@ class MppcExecutorT final : public TypedScanExecutor<T, Op> {
         if (!ids.empty()) nets.push_back(std::move(ids));
       }
     }
+    if (dead.empty()) {
+      MGS_REQUIRE(n % v_req_ == 0,
+                  "Scan-MP-PC executor: N must be divisible by V");
+      part_ = make_mppc_partition(ctx_->cluster(), y_, v_req_, g, m_);
+      v_ = v_req_;
+      return {v_, -1};
+    }
     MGS_REQUIRE(!nets.empty(), "Scan-MP-PC executor: no surviving GPU");
     std::size_t v_min = nets.front().size();
     for (const auto& ids : nets) v_min = std::min(v_min, ids.size());
     int v2 = std::min(v_req_, static_cast<int>(v_min));
     while (v2 > 1 && n % v2 != 0) --v2;
 
-    prep_report_.degraded = true;
-    prep_report_.excluded_devices = dead;
-    prep_report_.invalidated_plans +=
-        ctx_->invalidate_plans(cluster_alive_count(*ctx_));
+    this->degrade(std::move(dead));
     Placement at;
     if (nets.size() == 1 && v2 == 1) {
       at.solo = nets.front().front();
@@ -862,10 +855,10 @@ class MultinodeExecutorT final : public TypedScanExecutor<T, Op> {
  private:
   using Base::ctx_;
   using Base::g_;
-  using Base::ins_;
   using Base::n_;
   using Base::plan_;
   using Base::prep_report_;
+  using Base::staging_;
   using typename Base::Placement;
 
   /// Placement: one rank per requested GPU when all are alive; dead ranks
@@ -890,10 +883,7 @@ class MultinodeExecutorT final : public TypedScanExecutor<T, Op> {
     std::size_t r = survivors;
     while (r > 1 && n % static_cast<std::int64_t>(r) != 0) --r;
     ids.resize(r);
-    prep_report_.degraded = true;
-    prep_report_.excluded_devices = dead;
-    prep_report_.invalidated_plans +=
-        ctx_->invalidate_plans(cluster_alive_count(*ctx_));
+    this->degrade(std::move(dead));
     Placement at;
     if (r == 1) {
       at.solo = ids.front();
@@ -915,7 +905,7 @@ class MultinodeExecutorT final : public TypedScanExecutor<T, Op> {
     return at;
   }
 
-  /// One staging pair per rank, in rank order (so a CommError's failed
+  /// One staging buffer per rank, in rank order (so a CommError's failed
   /// rank indexes the staging directly).
   void lease_staging(std::int64_t n, std::int64_t g) override {
     for (int r = 0; r < comm_->size(); ++r) {
@@ -932,7 +922,7 @@ class MultinodeExecutorT final : public TypedScanExecutor<T, Op> {
 
   RunResult run_attempt(std::span<const T> in, std::span<T> out,
                         ScanKind kind, bool) override {
-    auto batches = this->staged(0, ins_.size());
+    auto batches = this->staged(0, staging_.size());
     scatter_batch<T>(in, batches, n_, g_);
     RunResult r = scan_mps_multinode<T, Op>(*comm_, batches, n_, g_, *plan_,
                                             kind, Op{}, &ctx_->workspace());

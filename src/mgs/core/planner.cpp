@@ -25,7 +25,10 @@ const char* to_string(Proposal p) {
 namespace {
 
 /// Usable device memory: leave 10% headroom for the auxiliary arrays and
-/// allocator slack; a problem needs input + output resident.
+/// allocator slack; a problem needs input + output resident. The
+/// executors scan one staging buffer in place, but the floor keeps the
+/// paper's Case-2 rule (input and output arrays in device memory), so
+/// proposal choices and modeled numbers match the paper's setup.
 std::int64_t usable_bytes(const sim::DeviceSpec& spec) {
   return spec.memory_bytes - spec.memory_bytes / 10;
 }

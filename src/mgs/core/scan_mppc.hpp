@@ -119,9 +119,14 @@ RunResult scan_mppc(topo::Cluster& cluster, const MppcPartition& part,
       group_stage = obs::open_stage(
           ("group" + std::to_string(grp)).c_str(), group_t0);
     }
-    RunResult r =
-        scan_mps(cluster, part.groups[grp], batches[grp], n,
-                 part.g_of_group[grp], plan, kind, op, ws);
+    RunResult r;
+    try {
+      r = scan_mps(cluster, part.groups[grp], batches[grp], n,
+                   part.g_of_group[grp], plan, kind, op, ws);
+    } catch (topo::TransferError& e) {
+      e.counters.merge(result.faults.counters);  // the groups already done
+      throw;
+    }
     group_stage.close(group_t0 + r.seconds);
     result.payload_bytes += r.payload_bytes;
     result.faults.counters.merge(r.faults.counters);

@@ -2,12 +2,12 @@
 /// \file workspace.hpp
 /// Per-device workspace pooling for the scan proposals. Every proposal
 /// needs transient device buffers (auxiliary chunk-total arrays, the
-/// master's combined array, pack/unpack staging); allocating them with
-/// `dev.alloc` on every invocation is fine for a one-shot reproduction
-/// but wasteful under repeated traffic. A WorkspacePool keeps released
-/// buffers on a per-(type, device) free list and hands them back to later
-/// acquisitions of the same or smaller size, so steady-state invocations
-/// perform zero device allocations.
+/// master's combined array, and each run's staging: one buffer per placed
+/// device, scanned in place); allocating them with `dev.alloc` on every
+/// invocation is wasteful under repeated traffic. A WorkspacePool keeps
+/// released buffers on a per-(type, device) free list and hands them back
+/// to later acquisitions of the same or smaller size, so steady-state
+/// runs allocate nothing and executors on the same devices share staging.
 ///
 /// Pooling is a host-side optimization only: simulated device time never
 /// includes allocation, so modeled results are bit-identical with and

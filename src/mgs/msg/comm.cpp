@@ -55,7 +55,7 @@ void Communicator::check_ranks_alive(const char* op) {
       throw CommError(std::string(op) + ": rank " + std::to_string(r) +
                           " (device " + std::to_string(device_of(r)) +
                           ") is down",
-                      r);
+                      r, faults_seen_);
     }
   }
 }
@@ -100,11 +100,11 @@ double Communicator::timed_message_at(int src_rank, int dst_rank,
   const sim::FaultPlan& plan = fi->plan();
   if (fi->device_down_at(src, now)) {
     throw CommError("message from down rank " + std::to_string(src_rank),
-                    src_rank);
+                    src_rank, faults_seen_);
   }
   if (fi->device_down_at(dst, now)) {
     throw CommError("message to down rank " + std::to_string(dst_rank),
-                    dst_rank);
+                    dst_rank, faults_seen_);
   }
   double total = 0.0;
   for (int attempt = 0;; ++attempt) {
@@ -140,7 +140,7 @@ double Communicator::timed_message_at(int src_rank, int dst_rank,
                           std::to_string(dst_rank) +
                           (timed_out ? " timed out" : " failed") + " after " +
                           std::to_string(attempt + 1) + " attempts",
-                      blame_rank);
+                      blame_rank, faults_seen_);
     }
     const double backoff =
         plan.backoff_base_us * 1e-6 * static_cast<double>(1ll << attempt);
@@ -172,7 +172,7 @@ double Communicator::barrier() {
     if (start - earliest > timeout) {
       throw CommError("MPI_Barrier: timed out waiting for rank " +
                           std::to_string(laggard),
-                      laggard);
+                      laggard, faults_seen_);
     }
   }
   int levels = 0;

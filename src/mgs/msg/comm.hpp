@@ -29,12 +29,15 @@ namespace mgs::msg {
 /// complete: a participating rank's device is down, a message exhausted
 /// its retry budget, or a barrier timed out waiting for a straggler.
 /// `failed_rank` identifies the culprit so callers can drop it and
-/// re-plan instead of aborting.
+/// re-plan instead of aborting. `counters` are the communicator's fault
+/// counters, this failure included.
 class CommError : public util::Error {
  public:
-  CommError(const std::string& what, int failed_rank)
-      : util::Error(what), failed_rank(failed_rank) {}
+  CommError(const std::string& what, int failed_rank,
+            const sim::FaultCounters& counters = {})
+      : util::Error(what), failed_rank(failed_rank), counters(counters) {}
   int failed_rank;
+  sim::FaultCounters counters;
 };
 
 /// One rank's slice of a collective buffer.

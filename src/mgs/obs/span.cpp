@@ -105,10 +105,9 @@ std::size_t TraceSession::size() const {
   return spans_.size();
 }
 
-void note_fault(
-    const std::string& name,
-    std::initializer_list<std::pair<std::string, std::string>> notes,
-    double at_seconds, int device) {
+void note_fault(const std::string& name,
+                std::vector<std::pair<std::string, std::string>> notes,
+                double at_seconds, int device) {
   TraceSession* ts = TraceSession::current();
   if (ts == nullptr) return;
   SpanRecord rec;
@@ -118,7 +117,7 @@ void note_fault(
   rec.device = device;
   rec.start_seconds = at_seconds;
   rec.end_seconds = at_seconds;
-  rec.notes.assign(notes.begin(), notes.end());
+  rec.notes = std::move(notes);
   ts->add_event(std::move(rec));
   ts->metrics().inc("fault_events_total", {{"kind", name}});
 }

@@ -187,9 +187,8 @@ inline ScopedSpan open_stage(const char* name, double start,
 /// bump the matching `fault_events_total{kind=...}` counter. No-op without
 /// a session. Used by the executors for degraded-placement re-plans; the
 /// transfer/comm layers record their richer retry spans directly.
-void note_fault(
-    const std::string& name,
-    std::initializer_list<std::pair<std::string, std::string>> notes,
-    double at_seconds = 0.0, int device = -1);
+void note_fault(const std::string& name,
+                std::vector<std::pair<std::string, std::string>> notes,
+                double at_seconds = 0.0, int device = -1);
 
 }  // namespace mgs::obs

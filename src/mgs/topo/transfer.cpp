@@ -148,6 +148,22 @@ TransferResult TransferEngine::account_on(int src_dev, int dst_dev,
         ev.notes.assign(notes.begin(), notes.end());
         fault_events.push_back(std::move(ev));
       };
+  // Attach the buffered events under `parent` (0: the innermost open
+  // span, where a failed copy leaves them so the trace still shows every
+  // fault its counters hold).
+  const auto record_faults = [&](std::uint64_t parent) {
+    if (ts == nullptr) return;
+    obs::MetricsRegistry& m = ts->metrics();
+    for (obs::SpanRecord& ev : fault_events) {
+      const std::string kind_name = ev.name;
+      ev.parent = parent;
+      ts->add_event(std::move(ev));
+      m.inc("fault_events_total", {{"kind", kind_name}});
+    }
+    if (obs_retries != 0) {
+      m.add("fault_retries", {}, static_cast<double>(obs_retries));
+    }
+  };
 
   sim::FaultInjector* fi = cluster_->fault_injector();
   double seconds = 0.0;
@@ -159,12 +175,12 @@ TransferResult TransferEngine::account_on(int src_dev, int dst_dev,
     if (fi->device_down_at(src_dev, start)) {
       throw TransferError("transfer from down device " +
                               std::to_string(src_dev),
-                          src_dev, dst_dev);
+                          src_dev, dst_dev, faults_seen_);
     }
     if (fi->device_down_at(dst_dev, start)) {
       throw TransferError("transfer to down device " +
                               std::to_string(dst_dev),
-                          src_dev, dst_dev);
+                          src_dev, dst_dev, faults_seen_);
     }
     if (link != LinkType::kSelf && fi->link_is_down(src_dev, dst_dev, start)) {
       if (link == LinkType::kP2P) {
@@ -179,7 +195,7 @@ TransferResult TransferEngine::account_on(int src_dev, int dst_dev,
         throw TransferError("link " + std::to_string(src_dev) + "->" +
                                 std::to_string(dst_dev) +
                                 " down with no alternate route",
-                            src_dev, dst_dev);
+                            src_dev, dst_dev, faults_seen_);
       }
     }
 
@@ -224,12 +240,13 @@ TransferResult TransferEngine::account_on(int src_dev, int dst_dev,
                   {{"attempt", std::to_string(attempt)}});
       faults_seen_.retry_seconds += spent;
       if (attempt >= plan.max_retries) {
+        record_faults(0);
         throw TransferError(
             std::string(timed_out ? "transfer timed out" : "transfer failed") +
                 " after " + std::to_string(attempt + 1) + " attempts (" +
                 std::to_string(src_dev) + "->" + std::to_string(dst_dev) +
                 ")",
-            src_dev, dst_dev);
+            src_dev, dst_dev, faults_seen_);
       }
       // Exponential backoff before the retry, charged as modeled time.
       const double backoff =
@@ -275,17 +292,8 @@ TransferResult TransferEngine::account_on(int src_dev, int dst_dev,
       rec.notes.emplace_back(
           "latency_us", std::to_string((seconds - occupancy) * 1e6));
     }
-    const std::uint64_t span_id = ts->add_event(std::move(rec));
+    record_faults(ts->add_event(std::move(rec)));
     obs::MetricsRegistry& m = ts->metrics();
-    for (obs::SpanRecord& ev : fault_events) {
-      const std::string kind_name = ev.name;
-      ev.parent = span_id;
-      ts->add_event(std::move(ev));
-      m.inc("fault_events_total", {{"kind", kind_name}});
-    }
-    if (obs_retries != 0) {
-      m.add("fault_retries", {}, static_cast<double>(obs_retries));
-    }
     const std::string kind = to_string(link);
     m.inc("transfers_total", {{"kind", kind}});
     m.add("transfer_bytes", {{"kind", kind}}, static_cast<double>(bytes));

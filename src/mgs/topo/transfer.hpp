@@ -29,13 +29,18 @@ namespace mgs::topo {
 
 /// Typed error for a copy that could not be completed: a down endpoint, a
 /// down link with no alternate route, or a retry budget exhausted by
-/// transient failures / timeouts.
+/// transient failures / timeouts. `counters` are the throwing engine's
+/// fault counters, this failure included, so a caller that restarts can
+/// still report what the aborted attempt saw.
 class TransferError : public util::Error {
  public:
-  TransferError(const std::string& what, int src_dev, int dst_dev)
-      : util::Error(what), src_dev(src_dev), dst_dev(dst_dev) {}
+  TransferError(const std::string& what, int src_dev, int dst_dev,
+                const sim::FaultCounters& counters = {})
+      : util::Error(what), src_dev(src_dev), dst_dev(dst_dev),
+        counters(counters) {}
   int src_dev;
   int dst_dev;
+  sim::FaultCounters counters;
 };
 
 /// Outcome of one copy.

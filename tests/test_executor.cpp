@@ -16,6 +16,7 @@
 #include "mgs/core/scan_multinode.hpp"
 #include "mgs/core/scan_sp.hpp"
 #include "mgs/core/tuning.hpp"
+#include "mgs/sim/fault.hpp"
 #include "mgs/util/random.hpp"
 
 namespace mc = mgs::core;
@@ -153,6 +154,124 @@ TEST(WorkspacePool, BestFitAndCounters) {
   }
   pool.clear();
   EXPECT_EQ(pool.pooled_buffers(), 0u);
+}
+
+// ---------------------------------------------------------------- staging
+
+namespace {
+
+/// Scan one (dtype, op) cell through Scan-SP and Scan-MPS executors, both
+/// kinds, at a one-chunk shape (Scan-SP's single direct_scan kernel) and
+/// a three-kernel shape: every staging buffer is scanned in place.
+template <typename T, typename Op>
+void check_in_place_cell(mc::ScanContext& ctx) {
+  const mc::DType dt = *mc::dtype_of_v<T>;
+  const mc::OpTag op = *mc::op_tag_of_v<Op>;
+  for (const std::int64_t n : {std::int64_t{256}, std::int64_t{1} << 16}) {
+    const auto raw = mgs::util::random_i32(static_cast<std::size_t>(n * kG),
+                                           static_cast<std::uint64_t>(n));
+    std::vector<T> data(raw.size());
+    for (std::size_t i = 0; i < raw.size(); ++i) {
+      data[i] = static_cast<T>(raw[i] % 7);  // exact for floats too
+    }
+    auto sp = mc::make_sp_executor(ctx, 0, dt, op);
+    auto mps = mc::make_mps_executor(ctx, 2, false, {}, dt, op);
+    for (const auto kind :
+         {mc::ScanKind::kInclusive, mc::ScanKind::kExclusive}) {
+      const auto want = reference_batch_scan<T, Op>(data, n, kG, kind);
+      for (auto* ex : {sp.get(), mps.get()}) {
+        SCOPED_TRACE(ex->name() + " " + mc::to_string(dt) + "/" +
+                     mc::to_string(op) + " n=" + std::to_string(n) +
+                     (kind == mc::ScanKind::kExclusive ? " exclusive"
+                                                       : " inclusive"));
+        ex->prepare(n, kG);
+        std::vector<T> got(data.size());
+        const auto r = ex->run(std::span<const T>(data), std::span<T>(got),
+                               kind);
+        EXPECT_EQ(got, want);
+        if (ex == sp.get()) {
+          EXPECT_EQ(r.breakdown.get("Stage1") == 0.0, n == 256);
+        }
+      }
+    }
+  }
+}
+
+template <typename T>
+void check_in_place_row(mc::ScanContext& ctx) {
+  check_in_place_cell<T, mc::Plus<T>>(ctx);
+  check_in_place_cell<T, mc::Max<T>>(ctx);
+  check_in_place_cell<T, mc::Min<T>>(ctx);
+}
+
+/// Nothing is leased out: every buffer the pool ever allocated is parked.
+bool all_staging_returned(mc::ScanContext& ctx) {
+  return ctx.workspace().pooled_buffers() ==
+         ctx.workspace().device_allocations();
+}
+
+}  // namespace
+
+TEST(Staging, InPlaceScansMatchTheReferenceForEveryCell) {
+  auto cluster = mt::tsubame_kfc_cluster(1);
+  mc::ScanContext ctx(cluster);
+  check_in_place_row<std::int32_t>(ctx);
+  check_in_place_row<std::int64_t>(ctx);
+  check_in_place_row<std::uint32_t>(ctx);
+  check_in_place_row<float>(ctx);
+  check_in_place_row<double>(ctx);
+}
+
+TEST(Staging, ExecutorsOfDifferentWidthShareOnePool) {
+  auto cluster = mt::tsubame_kfc_cluster(1);
+  mc::ScanContext ctx(cluster);
+  auto w2 = mc::make_mps_executor(ctx, 2);
+  auto w4 = mc::make_mps_executor(ctx, 4);
+  w2->prepare(kN, kG);
+  w4->prepare(kN, kG);
+  const auto data =
+      mgs::util::random_i32(static_cast<std::size_t>(kN * kG), 23);
+  std::vector<int> out(data.size());
+  w2->run(data, out, mc::ScanKind::kInclusive);  // warm-up
+  w4->run(data, out, mc::ScanKind::kInclusive);
+  const auto allocs = ctx.workspace().device_allocations();
+  for (int i = 0; i < 3; ++i) {
+    w2->run(data, out, mc::ScanKind::kInclusive);
+    w4->run(data, out, mc::ScanKind::kInclusive);
+  }
+  EXPECT_EQ(ctx.workspace().device_allocations(), allocs);
+  EXPECT_TRUE(all_staging_returned(ctx));
+  // Device 0 keeps one staging buffer for both widths (a W=2 portion plus
+  // the small auxiliary arrays), not an input and an output per executor.
+  const std::int64_t portion = kN / 2 * kG * std::int64_t{sizeof(int)};
+  EXPECT_LT(cluster.device(0).allocated_bytes(), 2 * portion);
+  EXPECT_EQ(out, reference_batch_scan<int>(data, kN, kG,
+                                           mc::ScanKind::kInclusive));
+}
+
+TEST(Staging, IdleExecutorsHoldNoneAndAFailedRunReturnsIt) {
+  auto cluster = mt::tsubame_kfc_cluster(1);
+  mc::ScanContext ctx(cluster);
+  auto ex = mc::make_mps_executor(ctx, 2);
+  ex->prepare(kN, kG);
+  EXPECT_EQ(ctx.workspace().device_allocations(), 0u);
+  for (int d = 0; d < cluster.num_devices(); ++d) {
+    EXPECT_EQ(cluster.device(d).allocated_bytes(), 0) << "device " << d;
+  }
+
+  // Both devices die mid-run: the first loss resumes onto device 0, the
+  // second leaves no survivor, so the run throws.
+  mgs::sim::FaultInjector fi(mgs::sim::parse_fault_plan(
+      "device-down:dev=1,at=1e-9;device-down:dev=0,at=1e-9"));
+  cluster.set_fault_injector(&fi);
+  const auto data =
+      mgs::util::random_i32(static_cast<std::size_t>(kN * kG), 29);
+  std::vector<int> out(data.size());
+  EXPECT_THROW(ex->run(data, out, mc::ScanKind::kInclusive),
+               mgs::util::Error);
+  EXPECT_GT(ctx.workspace().device_allocations(), 0u);
+  EXPECT_TRUE(all_staging_returned(ctx));
+  cluster.set_fault_injector(nullptr);
 }
 
 // ------------------------------------------- executor vs legacy equivalence

@@ -21,9 +21,11 @@ mc::ScanPlan paper_plan(int k = 4) {
   return plan;
 }
 
+/// Scan-SP against the serial reference; `in_place` passes one buffer as
+/// both input and output (what the executors' staging does).
 template <typename T, typename Op = mc::Plus<T>>
 void check_scan_sp(std::int64_t n, std::int64_t g, mc::ScanKind kind, int k,
-                   std::uint64_t seed) {
+                   std::uint64_t seed, bool in_place = false) {
   st::Device dev(0, mgs::sim::k80_spec());
   const auto plan = [&] {
     auto p = paper_plan(k);
@@ -42,7 +44,7 @@ void check_scan_sp(std::int64_t n, std::int64_t g, mc::ScanKind kind, int k,
   }
 
   auto in = dev.alloc<T>(n * g);
-  auto out = dev.alloc<T>(n * g);
+  auto out = in_place ? in : dev.alloc<T>(n * g);
   std::copy(data.begin(), data.end(), in.host_span().begin());
 
   const auto result = mc::scan_sp<T, Op>(dev, in, out, n, g, plan, kind);
@@ -103,6 +105,30 @@ TEST(ScanSp, InPlaceScanWorks) {
   for (std::int64_t i = 0; i < n; ++i) {
     acc += data[static_cast<std::size_t>(i)];
     ASSERT_EQ(buf.host_span()[static_cast<std::size_t>(i)], acc);
+  }
+}
+
+template <typename T>
+void check_in_place_row(std::int64_t n, mc::ScanKind kind) {
+  check_scan_sp<T>(n, 3, kind, 2, 5, true);
+  check_scan_sp<T, mc::Max<T>>(n, 3, kind, 2, 6, true);
+  check_scan_sp<T, mc::Min<T>>(n, 3, kind, 2, 7, true);
+}
+
+TEST(ScanSp, InPlaceScansMatchReferenceForEveryCellAndPath) {
+  // One chunk per problem takes the single direct_scan kernel; the larger
+  // shape runs all three kernels, Stage 3 overwriting its own input.
+  const std::int64_t one_chunk = paper_plan(2).s13.chunk();
+  for (const std::int64_t n : {one_chunk, std::int64_t{1} << 14}) {
+    for (const auto kind :
+         {mc::ScanKind::kInclusive, mc::ScanKind::kExclusive}) {
+      SCOPED_TRACE("n=" + std::to_string(n));
+      check_in_place_row<std::int32_t>(n, kind);
+      check_in_place_row<std::int64_t>(n, kind);
+      check_in_place_row<std::uint32_t>(n, kind);
+      check_in_place_row<float>(n, kind);
+      check_in_place_row<double>(n, kind);
+    }
   }
 }
 
